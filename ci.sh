@@ -78,10 +78,11 @@ run_stage build -DPARAIO_WERROR=ON
 # The concurrency-verification layer, run as its own gate so a scheduling
 # or deadlock regression is named directly instead of drowning in the full
 # suite output: schedule-perturbation invariance over the golden
-# configurations, the runtime deadlock detector, and the tie-break kernel.
+# configurations, the runtime deadlock detector, the tie-break kernel, and
+# the engine's observer list (attach order, out-of-order teardown).
 echo "== verify: schedule perturbation + deadlock detection =="
 ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Perturb|DeadlockDetector|TieBreak'
+  -R 'Perturb|DeadlockDetector|TieBreak|EngineObservers'
 
 echo "== verify: tree-wide lint with SARIF + cross-LP report artifacts =="
 timeout 120 "${lint_dir}/paraio_lint" --werror --stats \

@@ -51,10 +51,11 @@ using AppConfig = std::variant<apps::EscatConfig, apps::RenderConfig,
                                apps::HtfConfig, apps::SyntheticConfig>;
 
 /// Debug observer hooks (see sim::EngineObserver and pfs::IoObserver).
-/// The engine observer is attached for the whole simulation, the I/O
-/// observer as soon as the mount exists; io->on_measured_run_start() fires
-/// after input staging so checkers can separate staging traffic from the
-/// measured run.  All hooks default to "nothing attached".
+/// The engine observer is attached (Engine::attach) for the whole
+/// simulation, before the sampler and fault injector, so it is notified
+/// after them (newest-first).  The I/O observer is attached as soon as the
+/// mount exists; io->on_measured_run_start() fires after input staging so
+/// checkers can separate staging traffic from the measured run.  All hooks default to "nothing attached".
 ///
 /// `metrics`/`tracer` opt into the obs layer: the machine's devices, the
 /// mounted file system, and (post-run) the application phases publish into

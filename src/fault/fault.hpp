@@ -10,11 +10,11 @@
 // Design rules (all load-bearing for determinism):
 //  * Schedule-driven, not sampled — every fault fires at a planned simulated
 //    time, so the same plan + seed reproduces bit-identical traces.
-//  * Injection via the chained sim::EngineObserver pattern (the Sampler /
-//    RaceDetector / DeadlockDetector discipline): the injector flips state
-//    on the hardware models from inside on_event() and schedules nothing
-//    itself, so an attached injector with an empty plan is byte-identical
-//    to no injector at all.
+//  * Injection as a sim::EngineObserver that attaches/detaches on the
+//    engine, notified newest-first (like the Sampler / RaceDetector /
+//    DeadlockDetector): the injector flips state on the hardware models
+//    from inside on_event() and schedules nothing itself, so an attached
+//    injector with an empty plan is byte-identical to no injector at all.
 //  * All randomness (loss draws, retry jitter) flows through sim::Rng
 //    streams seeded from the plan/policy, and no stream is drawn from
 //    unless a fault window is actually active.
@@ -104,9 +104,10 @@ struct [[nodiscard]] RecoveryStats {
   std::uint64_t dirty_bytes_lost = 0;
 };
 
-/// Applies a FaultPlan to a machine as simulated time passes.  Chains onto
-/// whatever engine observer is already attached (construction attaches,
-/// destruction restores), exactly like obs::Sampler.  When `metrics` /
+/// Applies a FaultPlan to a machine as simulated time passes.  Construction
+/// attaches it to the engine and destruction detaches it, exactly like
+/// obs::Sampler; engine.find_observer<FaultInjector>() locates it.  When
+/// `metrics` /
 /// `tracer` are non-null, each applied fault bumps `fault.*` counters and
 /// drops a Chrome-trace instant marker.
 class FaultInjector final : public sim::EngineObserver {
@@ -118,17 +119,7 @@ class FaultInjector final : public sim::EngineObserver {
   FaultInjector& operator=(const FaultInjector&) = delete;
   ~FaultInjector() override;
 
-  [[nodiscard]] sim::EngineObserver* chained() const override {
-    return chained_;
-  }
-
-  /// Finds an injector anywhere in the engine's observer chain.
-  [[nodiscard]] static FaultInjector* find(sim::Engine& engine);
-
-  void on_schedule(sim::SimTime now, sim::SimTime when) override;
   void on_event(sim::SimTime when) override;
-  void on_run_complete(sim::SimTime now, std::size_t pending_events,
-                       std::size_t live_tasks) override;
 
   /// Number of plan events applied so far.
   [[nodiscard]] std::size_t applied() const noexcept { return cursor_; }
@@ -141,7 +132,6 @@ class FaultInjector final : public sim::EngineObserver {
   hw::Machine& machine_;
   FaultPlan plan_;  // sorted by `at` on construction
   std::size_t cursor_ = 0;
-  sim::EngineObserver* chained_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -47,7 +47,7 @@ bool Engine::step() {
   assert(when >= now_ && "event scheduled in the past");
   now_ = when;
   ++executed_;
-  if (observer_) observer_->on_event(when);
+  for (EngineObserver* o : observers_) o->on_event(when);
   action();
   // Reaping scans the task lists, so amortize it: only once enough tasks
   // have finished (their completion hooks count for us).  Failures surface
@@ -60,8 +60,11 @@ SimTime Engine::run() {
   while (step()) {
   }
   reap_finished();
-  if (observer_) {
-    observer_->on_run_complete(now_, queue_.size(), live_tasks());
+  if (!observers_.empty()) {
+    const std::size_t live = live_tasks();
+    for (EngineObserver* o : observers_) {
+      o->on_run_complete(now_, queue_.size(), live);
+    }
   }
   return now_;
 }

@@ -3,11 +3,14 @@
 // The engine owns simulated time and the pending-event set, and acts as the
 // scheduler for coroutine processes (sim::Task).  It is strictly
 // single-threaded; determinism comes from the EventQueue's FIFO tie-break.
+// It also owns the list of kernel observers: they attach/detach on the
+// engine and are notified newest-first.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
@@ -15,18 +18,14 @@
 
 namespace paraio::sim {
 
-/// Observation points on the simulation kernel, intended for debug and test
-/// builds (the testkit's invariant checker implements this).  Hooks cost one
-/// pointer test per event when no observer is attached; production code
-/// simply never attaches one.
+/// Observation points on the simulation kernel (detectors, the fault
+/// injector, the metrics sampler, the testkit's invariant checker).  An
+/// observer attaches/detaches on the engine and overrides only the callbacks
+/// it uses.  Hooks cost one empty-list test per event when nothing is
+/// attached.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
-  /// Next observer in an attach chain.  Detectors that wrap a previously
-  /// attached observer (RaceDetector, DeadlockDetector) override this so
-  /// their find() helpers can locate any detector anywhere in the chain,
-  /// not just the outermost one.
-  [[nodiscard]] virtual EngineObserver* chained() const { return nullptr; }
   /// An event was scheduled for absolute time `when` while now() == `now`.
   virtual void on_schedule(SimTime now, SimTime when) {
     (void)now;
@@ -55,13 +54,13 @@ class Engine {
 
   /// Schedules `action` after `delay` seconds of simulated time.
   EventId call_in(SimDuration delay, EventQueue::Action action) {
-    if (observer_) observer_->on_schedule(now_, now_ + delay);
+    for (EngineObserver* o : observers_) o->on_schedule(now_, now_ + delay);
     return queue_.schedule(now_ + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute simulated time `when` (>= now()).
   EventId call_at(SimTime when, EventQueue::Action action) {
-    if (observer_) observer_->on_schedule(now_, when);
+    for (EngineObserver* o : observers_) o->on_schedule(now_, when);
     return queue_.schedule(when, std::move(action));
   }
 
@@ -110,9 +109,23 @@ class Engine {
     return n;
   }
 
-  /// Attaches (or, with nullptr, detaches) the kernel observer.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-  [[nodiscard]] EngineObserver* observer() const noexcept { return observer_; }
+  /// Attaches `observer`; it is notified before every observer attached
+  /// earlier (newest-first).  Do not attach or detach from inside a callback.
+  void attach(EngineObserver& observer) {
+    observers_.insert(observers_.begin(), &observer);
+  }
+  /// Detaches `observer` wherever it sits in the list.
+  void detach(EngineObserver& observer) { std::erase(observers_, &observer); }
+  /// The newest attached observer of type T, or nullptr.  Annotation sites
+  /// in production code use this and stay zero-cost when nothing is
+  /// attached.
+  template <class T>
+  [[nodiscard]] T* find_observer() const {
+    for (EngineObserver* o : observers_) {
+      if (auto* t = dynamic_cast<T*>(o)) return t;
+    }
+    return nullptr;
+  }
 
   /// Seeds the same-instant tie-break permutation (see
   /// EventQueue::set_tie_break_seed).  Call before any event is scheduled;
@@ -161,7 +174,7 @@ class Engine {
   std::list<Task<>> daemons_;
   std::uint64_t executed_ = 0;
   std::size_t finished_unreaped_ = 0;
-  EngineObserver* observer_ = nullptr;
+  std::vector<EngineObserver*> observers_;  // newest first
 };
 
 }  // namespace paraio::sim

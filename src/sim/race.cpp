@@ -5,35 +5,13 @@
 
 namespace paraio::sim {
 
-RaceDetector::RaceDetector(Engine& engine)
-    : engine_(engine), chained_(engine.observer()) {
-  engine_.set_observer(this);
+RaceDetector::RaceDetector(Engine& engine) : engine_(engine) {
+  engine_.attach(*this);
 }
 
-RaceDetector::~RaceDetector() {
-  if (engine_.observer() == this) engine_.set_observer(chained_);
-}
+RaceDetector::~RaceDetector() { engine_.detach(*this); }
 
-RaceDetector* RaceDetector::find(Engine& engine) {
-  for (EngineObserver* o = engine.observer(); o != nullptr; o = o->chained()) {
-    if (auto* det = dynamic_cast<RaceDetector*>(o)) return det;
-  }
-  return nullptr;
-}
-
-void RaceDetector::on_schedule(SimTime now, SimTime when) {
-  if (chained_) chained_->on_schedule(now, when);
-}
-
-void RaceDetector::on_event(SimTime when) {
-  ++events_seen_;
-  if (chained_) chained_->on_event(when);
-}
-
-void RaceDetector::on_run_complete(SimTime now, std::size_t pending_events,
-                                   std::size_t live_tasks) {
-  if (chained_) chained_->on_run_complete(now, pending_events, live_tasks);
-}
+void RaceDetector::on_event(SimTime /*when*/) { ++events_seen_; }
 
 RaceDetector::TaskId RaceDetector::register_task(std::string name) {
   const TaskId id = static_cast<TaskId>(task_names_.size());

@@ -25,9 +25,10 @@
 //                            once every file is closed), and disk reads stay
 //                            within the extent ever written.
 //
-// Attach via core::ExperimentHooks{&checker, &checker} plus
-// result.trace-style sink registration, run the experiment, then call
-// finish() and inspect ok()/report().
+// Attach by setting both hooks.engine and hooks.io of core::ExperimentHooks
+// to &checker and running the experiment; then replay result.trace into the
+// checker (on_event per trace event), call finish(), and inspect
+// ok()/report().
 #pragma once
 
 #include <cstdint>

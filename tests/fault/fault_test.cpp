@@ -154,7 +154,7 @@ TEST(FaultInjection, AppliesEventsAtPlannedTimes) {
   plan.add({1.0, fault::FaultKind::kDiskFail, 0, 0, 0.0});
   plan.add({2.0, fault::FaultKind::kIonCrash, 1, 0, 0.0});
   fault::FaultInjector injector(engine, machine, plan);
-  EXPECT_EQ(fault::FaultInjector::find(engine), &injector);
+  EXPECT_EQ(engine.find_observer<fault::FaultInjector>(), &injector);
 
   auto probe = [&]() -> sim::Task<> {
     co_await engine.delay(0.5);
@@ -175,22 +175,27 @@ TEST(FaultInjection, AppliesEventsAtPlannedTimes) {
   EXPECT_EQ(injector.applied(), 2u);
 }
 
+// The injector attaches beside an earlier observer: both are notified, and
+// find_observer() locates the injector only while it is alive.
 TEST(FaultInjection, ChainsOntoExistingObserver) {
   testkit::InvariantChecker checker;
   sim::Engine engine;
-  engine.set_observer(&checker);
+  engine.attach(checker);
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(2, 1));
+  auto tick = [&]() -> sim::Task<> { co_await engine.delay(1.0); };
   {
     fault::FaultInjector injector(engine, machine, fault::FaultPlan{});
-    EXPECT_EQ(injector.chained(), &checker);
-    EXPECT_EQ(fault::FaultInjector::find(engine), &injector);
-    auto tick = [&]() -> sim::Task<> { co_await engine.delay(1.0); };
+    EXPECT_EQ(engine.find_observer<fault::FaultInjector>(), &injector);
+    EXPECT_EQ(engine.find_observer<testkit::InvariantChecker>(), &checker);
     engine.spawn(tick());
     engine.run();
     EXPECT_EQ(injector.applied(), 0u);
   }
-  // Destruction restored the chain; the chained checker saw the run.
-  EXPECT_EQ(fault::FaultInjector::find(engine), nullptr);
+  EXPECT_EQ(engine.find_observer<fault::FaultInjector>(), nullptr);
+  EXPECT_EQ(engine.find_observer<testkit::InvariantChecker>(), &checker);
+  // The checker keeps watching after the injector detached.
+  engine.spawn(tick());
+  EXPECT_DOUBLE_EQ(engine.run(), 2.0);
   checker.finish();
   EXPECT_TRUE(checker.ok()) << checker.report();
 }
@@ -343,7 +348,7 @@ std::optional<std::string> run_fault_case(const testkit::FaultCase& c) {
   opts.exact_conservation = false;  // PPFS: cache-aware bounds
   testkit::InvariantChecker checker(opts);
   sim::Engine engine;
-  engine.set_observer(&checker);
+  engine.attach(checker);
   hw::Machine machine(engine, c.base.machine);
   sim::DeadlockDetector deadlocks(engine);
   fault::FaultInjector injector(engine, machine, c.plan);

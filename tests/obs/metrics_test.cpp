@@ -1,5 +1,6 @@
 // Unit tests for the obs metrics registry: log2 histogram bucketing, the
-// deterministic text dump, and the chained-observer sampler.
+// deterministic text dump, and the sampler, which attaches to the engine as
+// a kernel observer (notified newest-first).
 #include "obs/metrics.hpp"
 
 #include <cstdint>
@@ -128,9 +129,9 @@ TEST(Sampler, RestoresChainedObserverOnDetach) {
   Registry registry;
   {
     Sampler sampler(engine, registry, 1.0);
-    EXPECT_EQ(engine.observer(), &sampler);
+    EXPECT_EQ(engine.find_observer<Sampler>(), &sampler);
   }
-  EXPECT_EQ(engine.observer(), nullptr);
+  EXPECT_EQ(engine.find_observer<Sampler>(), nullptr);
 }
 
 TEST(FormatDouble, StableRendering) {

@@ -223,15 +223,22 @@ TEST(DeadlockDetector, CleanIonServerRunHasNoFindings) {
   EXPECT_EQ(server.stats().requests, 2u);
 }
 
-// The detector coexists with the race detector on the observer chain, and
-// find() locates each through the other.
+// The detector coexists with the race detector on the engine, and
+// find_observer() locates each whatever their attach order.
 TEST(DeadlockDetector, FindWalksObserverChain) {
   Engine engine;
-  EXPECT_EQ(DeadlockDetector::find(engine), nullptr);
+  EXPECT_EQ(engine.find_observer<DeadlockDetector>(), nullptr);
   RaceDetector races(engine);
-  DeadlockDetector deadlocks(engine);
-  EXPECT_EQ(DeadlockDetector::find(engine), &deadlocks);
-  EXPECT_EQ(RaceDetector::find(engine), &races);
+  {
+    DeadlockDetector deadlocks(engine);
+    EXPECT_EQ(engine.find_observer<DeadlockDetector>(), &deadlocks);
+    EXPECT_EQ(engine.find_observer<RaceDetector>(), &races);
+    engine.call_in(1.0, [] {});
+    engine.run();
+    EXPECT_TRUE(deadlocks.ok()) << deadlocks.report();
+  }
+  EXPECT_EQ(engine.find_observer<DeadlockDetector>(), nullptr);
+  EXPECT_EQ(engine.find_observer<RaceDetector>(), &races);
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/deadlock.hpp"
+#include "sim/race.hpp"
 
 namespace paraio::sim {
 namespace {
@@ -166,6 +172,59 @@ TEST(Engine, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// Logs every kernel callback under its own name.
+struct RecordingObserver final : EngineObserver {
+  RecordingObserver(std::vector<std::string>& out, std::string label)
+      : log(out), name(std::move(label)) {}
+  void on_schedule(SimTime /*now*/, SimTime /*when*/) override {
+    log.push_back(name + ":schedule");
+  }
+  void on_event(SimTime /*when*/) override { log.push_back(name + ":event"); }
+  void on_run_complete(SimTime /*now*/, std::size_t /*pending_events*/,
+                       std::size_t /*live_tasks*/) override {
+    log.push_back(name + ":done");
+  }
+  std::vector<std::string>& log;
+  std::string name;
+};
+
+TEST(EngineObservers, NotifiedNewestFirst) {
+  Engine engine;
+  std::vector<std::string> log;
+  RecordingObserver older(log, "older");
+  RecordingObserver newer(log, "newer");
+  engine.attach(older);
+  engine.attach(newer);
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "newer:schedule", "older:schedule", "newer:event",
+                     "older:event", "newer:done", "older:done"}));
+  EXPECT_EQ(engine.find_observer<RecordingObserver>(), &newer);
+
+  engine.detach(newer);
+  log.clear();
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"older:schedule", "older:event",
+                                           "older:done"}));
+  EXPECT_EQ(engine.find_observer<RecordingObserver>(), &older);
+}
+
+TEST(EngineObservers, OutOfOrderTeardownLeavesNoDanglingObserver) {
+  Engine engine;
+  auto races = std::make_unique<RaceDetector>(engine);
+  DeadlockDetector deadlocks(engine);
+  // The older observer goes first; the newer one must not forward into it.
+  races.reset();
+  auto proc = [](Engine& eng) -> Task<> { co_await eng.delay(1.0); };
+  engine.spawn(proc(engine));
+  EXPECT_DOUBLE_EQ(engine.run(), 1.0);
+  EXPECT_EQ(engine.find_observer<RaceDetector>(), nullptr);
+  EXPECT_EQ(engine.find_observer<DeadlockDetector>(), &deadlocks);
+  EXPECT_TRUE(deadlocks.ok()) << deadlocks.report();
 }
 
 }  // namespace

@@ -149,8 +149,8 @@ TEST(RaceDetector, TaskForKeyIsMemoized) {
   EXPECT_EQ(det.task_name(n0), "node#0");
 }
 
-// The detector chains to (and restores) whatever observer was already
-// attached, so it can coexist with the testkit's InvariantChecker.
+// The detector attaches beside whatever observer was already attached, so
+// it can coexist with the testkit's InvariantChecker.
 struct CountingObserver final : EngineObserver {
   std::uint64_t events = 0;
   void on_event(SimTime) override { ++events; }
@@ -159,16 +159,22 @@ struct CountingObserver final : EngineObserver {
 TEST(RaceDetector, ChainsAndRestoresExistingObserver) {
   Engine engine;
   CountingObserver counter;
-  engine.set_observer(&counter);
+  engine.attach(counter);
   {
     RaceDetector det(engine);
-    EXPECT_EQ(RaceDetector::find(engine), &det);
+    EXPECT_EQ(engine.find_observer<RaceDetector>(), &det);
+    EXPECT_EQ(engine.find_observer<CountingObserver>(), &counter);
     engine.spawn(delayed_writer(engine, det, det.register_task("w"), 1.0));
     engine.run();
-    EXPECT_GT(counter.events, 0u);  // forwarded through the chain
+    det.finish();
+    EXPECT_TRUE(det.ok()) << det.report();
   }
-  EXPECT_EQ(engine.observer(), &counter);
-  EXPECT_EQ(RaceDetector::find(engine), nullptr);
+  EXPECT_EQ(engine.find_observer<RaceDetector>(), nullptr);
+  // The counter saw every event, before and after the detector detached.
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_EQ(counter.events, engine.events_executed());
+  EXPECT_GT(counter.events, 1u);
 }
 
 }  // namespace

@@ -30,11 +30,12 @@ GoldenStore& store() {
 TEST(Perturb, EscatLogicallyInvariantUnder16Shuffles) {
   PerturbConfig pc;
   pc.shuffles = 16;
-  const auto result =
-      check_schedule_invariance(golden_experiment(golden_escat()), pc);
+  const core::ExperimentConfig config = golden_experiment(golden_escat());
+  const auto result = check_schedule_invariance(config, pc);
   EXPECT_TRUE(result.ok()) << result.report();
   EXPECT_EQ(result.runs, 16);
   EXPECT_GT(result.baseline_events, 0u);
+  EXPECT_EQ(result.baseline_events, core::run_experiment(config).kernel_events);
 }
 
 TEST(Perturb, RenderLogicallyInvariantUnder16Shuffles) {
