@@ -17,6 +17,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "pablo/trace.hpp"
 
@@ -28,8 +29,10 @@ void write_trace(std::ostream& out, const Trace& trace);
 /// Convenience: writes to a file path.
 void write_trace_file(const std::string& path, const Trace& trace);
 
-/// Parses a trace written by write_trace.  Throws std::runtime_error on
-/// malformed input (bad magic, wrong field count, unparsable values).
+/// Parses a trace written by write_trace, streaming line by line.  Throws
+/// std::runtime_error("trace line N: ...") naming the field and value on
+/// malformed input: bad magic, a missing or extra field, an unparsable or
+/// out-of-range value, or a non-finite or negative time.
 [[nodiscard]] Trace read_trace(std::istream& in);
 
 /// Convenience: reads from a file path.
@@ -38,8 +41,8 @@ void write_trace_file(const std::string& path, const Trace& trace);
 /// Round-trippable op/mode spellings used inside trace files (distinct from
 /// the human-facing to_string forms, which contain spaces).
 [[nodiscard]] const char* op_token(Op op);
-[[nodiscard]] Op op_from_token(const std::string& token);
+[[nodiscard]] Op op_from_token(std::string_view token);
 [[nodiscard]] const char* mode_token(io::AccessMode mode);
-[[nodiscard]] io::AccessMode mode_from_token(const std::string& token);
+[[nodiscard]] io::AccessMode mode_from_token(std::string_view token);
 
 }  // namespace paraio::pablo
