@@ -1,9 +1,34 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
-#include <stdexcept>
+#include <exception>
+#include <limits>
+#include <sstream>
+#include <string>
 
 namespace paraio::sim {
+
+namespace {
+
+std::string bad_time_message(SimTime now, SimTime when) {
+  std::ostringstream out;
+  out.precision(std::numeric_limits<SimTime>::max_digits10);
+  out << "sim::Engine: cannot schedule an event at t=" << when
+      << " (now t=" << now
+      << "): event times must be finite and not in the past";
+  return out.str();
+}
+
+}  // namespace
+
+SimTimeError::SimTimeError(SimTime now, SimTime when)
+    : std::invalid_argument(bad_time_message(now, when)),
+      now_(now),
+      when_(when) {}
+
+void Engine::throw_bad_time(SimTime when) const {
+  throw SimTimeError(now_, when);
+}
 
 void Engine::note_task_finished(void* engine) noexcept {
   ++static_cast<Engine*>(engine)->finished_unreaped_;
@@ -12,6 +37,8 @@ void Engine::note_task_finished(void* engine) noexcept {
 void Engine::spawn(Task<> task) {
   assert(task.valid());
   detached_.push_back(std::move(task));
+  // `t` is dead once start() runs the task: it may spawn others and
+  // reallocate detached_.
   Task<>& t = detached_.back();
   t.set_on_complete(&Engine::note_task_finished, this);
   t.start();
@@ -29,16 +56,29 @@ void Engine::spawn_daemon(Task<> task) {
 
 void Engine::reap_finished() {
   finished_unreaped_ = 0;
-  for (auto* list : {&detached_, &daemons_}) {
-    for (auto it = list->begin(); it != list->end();) {
+  Task<> failed;
+  for (std::vector<Task<>>* tasks : {&detached_, &daemons_}) {
+    // Compact in place, destroying finished tasks in list order.
+    auto keep = tasks->begin();
+    for (auto it = tasks->begin(); it != tasks->end(); ++it) {
       if (it->done()) {
-        it->result();  // rethrows if the detached task failed
-        it = list->erase(it);
-      } else {
-        ++it;
+        if (!it->failed()) {
+          *it = Task<>();
+          continue;
+        }
+        if (!failed.valid()) {
+          failed = std::move(*it);
+          continue;
+        }
+        ++finished_unreaped_;  // a second failure waits for the next reap
       }
+      if (keep != it) *keep = std::move(*it);
+      ++keep;
     }
+    tasks->erase(keep, tasks->end());
   }
+  // Out of the lists before it rethrows, so each failure surfaces once.
+  if (failed.valid()) failed.result();
 }
 
 bool Engine::step() {

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -43,6 +43,19 @@ class EngineObserver {
   }
 };
 
+/// Thrown by Engine::call_in/call_at for an event time that breaks the
+/// simulated-time contract: NaN, infinite, or earlier than now().
+class SimTimeError : public std::invalid_argument {
+ public:
+  SimTimeError(SimTime now, SimTime when);
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
+  [[nodiscard]] SimTime when() const noexcept { return when_; }
+
+ private:
+  SimTime now_;
+  SimTime when_;
+};
+
 class Engine {
  public:
   Engine() = default;
@@ -52,14 +65,19 @@ class Engine {
   /// Current simulated time in seconds.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` after `delay` seconds of simulated time.
+  /// Schedules `action` after `delay` seconds of simulated time.  Throws
+  /// SimTimeError unless now() + delay is finite and >= now().
   EventId call_in(SimDuration delay, EventQueue::Action action) {
-    for (EngineObserver* o : observers_) o->on_schedule(now_, now_ + delay);
-    return queue_.schedule(now_ + delay, std::move(action));
+    const SimTime when = now_ + delay;
+    check_time(when);
+    for (EngineObserver* o : observers_) o->on_schedule(now_, when);
+    return queue_.schedule(when, std::move(action));
   }
 
-  /// Schedules `action` at absolute simulated time `when` (>= now()).
+  /// Schedules `action` at absolute simulated time `when`.  Throws
+  /// SimTimeError unless `when` is finite and >= now().
   EventId call_at(SimTime when, EventQueue::Action action) {
+    check_time(when);
     for (EngineObserver* o : observers_) o->on_schedule(now_, when);
     return queue_.schedule(when, std::move(action));
   }
@@ -68,8 +86,9 @@ class Engine {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Starts a detached top-level process.  The engine keeps the task alive
-  /// until it finishes; if the task ends with an uncaught exception the next
-  /// run()/step() call rethrows it.
+  /// until it finishes; if the task ends with an uncaught exception a later
+  /// spawn()/step()/run() call rethrows it, once: the failed task is reaped
+  /// before its exception propagates.
   void spawn(Task<> task);
 
   /// Starts a persistent service loop (e.g. a server draining a request
@@ -160,6 +179,17 @@ class Engine {
   [[nodiscard]] auto yield() { return delay(0.0); }
 
  private:
+  /// The simulated-time contract, checked where events enter the queue:
+  /// one comparison pair rejects NaN (both false), +inf and the past.
+  void check_time(SimTime when) const {
+    if (!(when >= now_ && when < kTimeInfinity)) [[unlikely]] {
+      throw_bad_time(when);
+    }
+  }
+  /// Out of line so the error's construction stays off the inlined path.
+  [[noreturn]] void throw_bad_time(SimTime when) const;
+  /// Destroys finished tasks.  If one failed, it is removed and its
+  /// exception rethrown; further failed tasks stay for the next call.
   void reap_finished();
   /// Completion hook installed on every spawned task (see Task's
   /// set_on_complete): counts finished-but-unreaped tasks so reaping can be
@@ -170,8 +200,8 @@ class Engine {
 
   SimTime now_ = 0.0;
   EventQueue queue_;
-  std::list<Task<>> detached_;
-  std::list<Task<>> daemons_;
+  std::vector<Task<>> detached_;
+  std::vector<Task<>> daemons_;
   std::uint64_t executed_ = 0;
   std::size_t finished_unreaped_ = 0;
   std::vector<EngineObserver*> observers_;  // newest first

@@ -24,6 +24,14 @@ bool EventQueue::earlier(const Entry& a, const Entry& b) noexcept {
   return a.key < b.key;
 }
 
+std::size_t EventQueue::Rung::storage_bytes() const noexcept {
+  std::size_t bytes = sizeof(Rung) + buckets.capacity() * sizeof(buckets[0]);
+  for (const std::vector<Entry>& b : buckets) {
+    bytes += b.capacity() * sizeof(Entry);
+  }
+  return bytes;
+}
+
 bool EventQueue::all_same_when(const std::vector<Entry>& entries) noexcept {
   for (const Entry& e : entries) {
     if (e.when != entries.front().when) return false;
@@ -152,7 +160,7 @@ void EventQueue::insert_bottom(const Entry& e) {
 }
 
 void EventQueue::place_in_rung(Rung& r, const Entry& e) {
-  const std::size_t n = r.buckets.size();
+  const std::size_t n = r.n;
   const SimTime off = (e.when - r.start) / r.width;
   std::size_t idx = 0;
   if (off > 0.0) {
@@ -190,9 +198,12 @@ void EventQueue::maybe_spill_bottom() {
   const auto cut = static_cast<std::size_t>(cut_it - bottom_.begin());
   const SimTime new_threshold =
       std::nextafter(bottom_[cut - 1].when, kTimeInfinity);
-  std::vector<Entry> spilled(
-      bottom_.begin() + static_cast<std::ptrdiff_t>(cut), bottom_.end());
-  if (!build_rung(spilled, new_threshold, bottom_threshold_)) return;
+  drain_.assign(bottom_.begin() + static_cast<std::ptrdiff_t>(cut),
+                bottom_.end());
+  if (!build_rung(new_threshold, bottom_threshold_)) {
+    drain_.clear();
+    return;
+  }
   bottom_.resize(cut);
   bottom_threshold_ = new_threshold;
 }
@@ -224,19 +235,22 @@ void EventQueue::refill() {
 
 void EventQueue::refill_from_rung() {
   Rung& r = rungs_.back();
-  const std::size_t n = r.buckets.size();
+  const std::size_t n = r.n;
   while (r.cur < n && r.buckets[r.cur].empty()) ++r.cur;
   if (r.cur == n) {
     bottom_threshold_ = std::max(bottom_threshold_, r.route_end);
-    rungs_.pop_back();
+    retire_rung();
     return;
   }
   const std::size_t j = r.cur;
-  std::vector<Entry> bucket = std::move(r.buckets[j]);
-  r.buckets[j] = {};
+  // Copy out rather than swap: the bucket keeps its own buffer, so bucket
+  // capacities track what each bucket held instead of whatever the bottom
+  // last grew to.
+  drain_.assign(r.buckets[j].begin(), r.buckets[j].end());
+  r.buckets[j].clear();
   ++r.cur;
   // Everything remaining in this rung (and all outer structures) is at or
-  // beyond drain_end; everything in `bucket` is strictly below it.
+  // beyond drain_end; everything in drain_ is strictly below it.
   const SimTime drain_end =
       (j + 1 == n) ? r.route_end : std::min(r.boundary(j + 1), r.route_end);
   // The child must span the drained bucket, not [bottom_threshold_,
@@ -248,18 +262,17 @@ void EventQueue::refill_from_rung() {
   // child's bucket 0 — placement clamps, and the drain-time sort orders
   // them).  build_rung rejects the window once FP can no longer split it.
   const SimTime child_start = std::max(bottom_threshold_, r.boundary(j));
-  if (r.cur == n) rungs_.pop_back();  // exhausted; r dangles past this point
-  const bool try_spawn = bucket.size() > kSpawnThreshold &&
-                         rungs_.size() < kMaxRungs && !all_same_when(bucket);
-  if (!try_spawn || !build_rung(bucket, child_start, drain_end)) {
-    sort_into_bottom(std::move(bucket), drain_end);
+  if (r.cur == n) retire_rung();  // exhausted; r dangles past this point
+  const bool try_spawn = drain_.size() > kSpawnThreshold &&
+                         rungs_.size() < kMaxRungs && !all_same_when(drain_);
+  if (!try_spawn || !build_rung(child_start, drain_end)) {
+    sort_into_bottom(drain_end);
   }
 }
 
 void EventQueue::refill_from_top() {
   assert(!top_.empty());
-  std::vector<Entry> entries = std::move(top_);
-  top_ = {};
+  drain_.swap(top_);  // top_ takes drain_'s empty buffer
   const SimTime tmin = top_min_;
   const SimTime tmax = top_max_;
   top_min_ = kTimeInfinity;
@@ -267,15 +280,13 @@ void EventQueue::refill_from_top() {
   // nextafter makes the bound exclusive of nothing: future arrivals at
   // exactly tmax still sort into bottom next to the events already there.
   const SimTime threshold = std::nextafter(tmax, kTimeInfinity);
-  if (entries.size() <= kDirectSortLimit ||
-      !build_rung(entries, tmin, threshold)) {
-    sort_into_bottom(std::move(entries), threshold);
+  if (drain_.size() <= kDirectSortLimit || !build_rung(tmin, threshold)) {
+    sort_into_bottom(threshold);
   }
 }
 
-bool EventQueue::build_rung(std::vector<Entry> &entries, SimTime start,
-                            SimTime route_end) {
-  const std::size_t n = std::min(entries.size(), kMaxBuckets);
+bool EventQueue::build_rung(SimTime start, SimTime route_end) {
+  const std::size_t n = std::min(drain_.size(), kMaxBuckets);
   if (n < 2) return false;
   const SimTime span = route_end - start;
   if (!std::isfinite(span) || span <= 0.0) return false;
@@ -284,28 +295,47 @@ bool EventQueue::build_rung(std::vector<Entry> &entries, SimTime start,
   // of `start` — the boundary expression could not separate buckets, and the
   // fallback (a plain sort) is both correct and cheaper.
   if (!(width > 0.0) || !(start + width > start)) return false;
-  Rung r;
+  if (spare_rungs_.empty()) {
+    rungs_.emplace_back();
+  } else {
+    spare_bytes_ -= spare_rungs_.back().spare_bytes;
+    rungs_.push_back(std::move(spare_rungs_.back()));
+    spare_rungs_.pop_back();
+  }
+  Rung& r = rungs_.back();
+  if (r.buckets.size() < n) r.buckets.resize(n);
   r.start = start;
   r.width = width;
   r.route_end = route_end;
-  r.buckets.resize(n);
-  rungs_.push_back(std::move(r));
-  Rung& back = rungs_.back();
-  for (const Entry& e : entries) place_in_rung(back, e);
-  entries.clear();
+  r.n = n;
+  r.cur = 0;
+  for (const Entry& e : drain_) place_in_rung(r, e);
+  drain_.clear();
   return true;
 }
 
-void EventQueue::sort_into_bottom(std::vector<Entry> entries,
-                                  SimTime new_threshold) {
+void EventQueue::sort_into_bottom(SimTime new_threshold) {
   assert(bottom_empty());
-  std::sort(entries.begin(), entries.end(), earlier);
-  bottom_ = std::move(entries);
+  std::sort(drain_.begin(), drain_.end(), earlier);
+  bottom_.clear();
+  bottom_.swap(drain_);
   bottom_head_ = 0;
   // max(): a stale higher threshold is still safe — every live event outside
   // bottom is at or beyond it — and routes more arrivals onto the sorted
   // fast path.
   bottom_threshold_ = std::max(bottom_threshold_, new_threshold);
+}
+
+void EventQueue::retire_rung() {
+  Rung& r = rungs_.back();
+  // Every bucket is empty by now: [0, n) were drained, the rest unused.
+  const std::size_t bytes = r.storage_bytes();
+  if (spare_bytes_ + bytes <= kMaxSpareBytes) {
+    r.spare_bytes = bytes;
+    spare_bytes_ += bytes;
+    spare_rungs_.push_back(std::move(r));
+  }
+  rungs_.pop_back();
 }
 
 }  // namespace paraio::sim

@@ -32,6 +32,13 @@
 // still sitting in the ladder (skipped when it surfaces).  The action is
 // destroyed eagerly so captured resources are released at cancel time.
 //
+// Storage is recycled, so a warmed-up queue schedules and pops without
+// touching the heap.  bottom, top and a scratch drain vector trade buffers
+// by swapping; a drained bucket's entries are copied out, so each bucket
+// keeps its own buffer; exhausted rungs park on a spare list (at most
+// kMaxSpareBytes of storage) and the next rung spawn reuses one, bucket
+// vectors included.
+//
 // The queue maintains the invariant that whenever live events exist, the
 // earliest one is at bottom's head — which is what lets next_time() be a
 // genuinely const, branch-free read (the old heap needed a `mutable` member
@@ -113,15 +120,19 @@ class EventQueue {
     std::uint32_t next_free = kNoSlot;
   };
 
-  /// One ladder rung: `buckets.size()` equal-width buckets starting at
-  /// `start`.  `route_end` is the exclusive upper routing bound — every
-  /// entry stored in (or newly routed to) this rung has when < route_end,
-  /// and every live entry in outer structures has when >= route_end.
+  /// One ladder rung: `n` equal-width buckets starting at `start`.
+  /// `route_end` is the exclusive upper routing bound — every entry stored
+  /// in (or newly routed to) this rung has when < route_end, and every live
+  /// entry in outer structures has when >= route_end.  A recycled rung may
+  /// hold more bucket vectors than it uses (`buckets.size() >= n`); the
+  /// extra ones are empty and keep their storage for a later, wider rung.
   struct Rung {
-    SimTime start;
-    SimTime width;
-    SimTime route_end;
+    SimTime start = 0.0;
+    SimTime width = 0.0;
+    SimTime route_end = 0.0;
+    std::size_t n = 0;    // buckets in use
     std::size_t cur = 0;  // next bucket to drain
+    std::size_t spare_bytes = 0;  // storage_bytes() while on the spare list
     std::vector<std::vector<Entry>> buckets;
 
     /// The exact boundary expression.  Placement, routing, and the bottom
@@ -130,6 +141,8 @@ class EventQueue {
     [[nodiscard]] SimTime boundary(std::size_t i) const {
       return start + static_cast<SimTime>(i) * width;
     }
+    /// Heap bytes the rung keeps: its bucket array and every bucket buffer.
+    [[nodiscard]] std::size_t storage_bytes() const noexcept;
   };
 
   [[nodiscard]] bool is_live(const Entry& e) const noexcept {
@@ -160,15 +173,19 @@ class EventQueue {
   void refill_from_rung();
   void refill_from_top();
 
-  /// Builds a rung over [start, route_end) and distributes `entries` into
-  /// it (consuming them).  Returns false — leaving `entries` untouched —
-  /// when the window is degenerate (zero/absorbed width), in which case the
+  /// Builds a rung over [start, route_end) and distributes drain_ into it
+  /// (emptying drain_).  Returns false — leaving drain_ untouched — when
+  /// the window is degenerate (zero/absorbed width), in which case the
   /// caller must fall back to sorting the entries directly.
-  bool build_rung(std::vector<Entry>& entries, SimTime start,
-                  SimTime route_end);
+  bool build_rung(SimTime start, SimTime route_end);
 
-  /// Sorts `entries` (ascending) and makes them the new bottom.
-  void sort_into_bottom(std::vector<Entry> entries, SimTime new_threshold);
+  /// Sorts drain_ (ascending) and swaps it in as the new bottom; drain_
+  /// keeps the old bottom's (consumed) buffer.
+  void sort_into_bottom(SimTime new_threshold);
+
+  /// Moves an exhausted rungs_.back() to the spare list, or frees it when
+  /// the spare list is full.
+  void retire_rung();
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   static constexpr std::size_t kDirectSortLimit = 64;   // top -> bottom as-is
@@ -177,6 +194,10 @@ class EventQueue {
   static constexpr std::size_t kMaxRungs = 8;
   static constexpr std::size_t kBottomSpillLimit = 256; // sorted-insert bound
   static constexpr std::size_t kBottomKeep = 64;
+  /// Ceiling on the bucket storage parked in spare_rungs_.  A retiring rung
+  /// that would push the total past it is freed instead, so a burst of
+  /// millions of far-future events does not pin its peak footprint forever.
+  static constexpr std::size_t kMaxSpareBytes = std::size_t{4} << 20;
 
   std::vector<Entry> bottom_;  // sorted ascending by (when, key)
   std::size_t bottom_head_ = 0;  // entries before this index already popped
@@ -184,9 +205,15 @@ class EventQueue {
   /// arrival; everything at or above it belongs to the rungs/top.
   SimTime bottom_threshold_ = -kTimeInfinity;
   std::vector<Rung> rungs_;    // [0] outermost; back() is drained first
+  std::vector<Rung> spare_rungs_;  // exhausted rungs kept for reuse
+  std::size_t spare_bytes_ = 0;    // sum of spare_rungs_[i].spare_bytes
   std::vector<Entry> top_;     // unsorted far-future events
   SimTime top_min_ = kTimeInfinity;
   SimTime top_max_ = -kTimeInfinity;
+  /// Scratch for entries in transit between tiers (a drained bucket, the
+  /// converted top, a spilled bottom tail).  Always empty between calls;
+  /// it exists so those moves reuse one buffer instead of allocating.
+  std::vector<Entry> drain_;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;

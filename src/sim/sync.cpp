@@ -5,18 +5,13 @@ namespace paraio::sim {
 void Event::set() {
   set_ = true;
   // Resume through the event queue so set() never re-enters user code.
-  for (auto h : waiters_) {
-    engine_.call_in(0.0, [h] { h.resume(); });
-  }
-  waiters_.clear();
+  waiters_.wake_all(engine_);
 }
 
 void Semaphore::release(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      engine_.call_in(0.0, [h] { h.resume(); });
+      waiters_.wake_one(engine_);
     } else {
       ++count_;
     }
@@ -26,10 +21,7 @@ void Semaphore::release(std::size_t n) {
 void Barrier::release_all() {
   ++generation_;
   arrived_ = 0;
-  for (auto h : waiters_) {
-    engine_.call_in(0.0, [h] { h.resume(); });
-  }
-  waiters_.clear();
+  waiters_.wake_all(engine_);
 }
 
 }  // namespace paraio::sim

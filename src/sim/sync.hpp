@@ -3,14 +3,17 @@
 // All primitives resume waiters through the engine's event queue (at the
 // current instant) rather than inline, so a `set()` or `release()` never
 // re-enters user code synchronously and wake-up order is deterministic FIFO.
+// Waiters park in an intrusive WaitList whose nodes live in the awaiters,
+// so waiting and waking never allocate.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 
 #include "sim/engine.hpp"
+#include "sim/wait_list.hpp"
 
 namespace paraio::sim {
 
@@ -28,18 +31,19 @@ class Event {
   [[nodiscard]] auto wait() {
     struct Awaiter {
       Event& ev;
+      WaitList::Node node;
       bool await_ready() const noexcept { return ev.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ev.waiters_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        ev.waiters_.park(node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
   Engine& engine_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
   bool set_ = false;
 };
 
@@ -57,6 +61,7 @@ class Semaphore {
   [[nodiscard]] auto acquire() {
     struct Awaiter {
       Semaphore& sem;
+      WaitList::Node node;
       // Fast path only when nobody is queued, preserving FIFO order.  A
       // queued waiter later receives a direct handoff from release()
       // without touching count_, so await_resume has nothing to do.
@@ -67,18 +72,18 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
-        sem.waiters_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        sem.waiters_.park(node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
   Engine& engine_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
 };
 
 /// Mutual exclusion: a binary FIFO semaphore with scoped-lock sugar.
@@ -109,6 +114,7 @@ class Barrier {
   [[nodiscard]] auto arrive_and_wait() {
     struct Awaiter {
       Barrier& b;
+      WaitList::Node node;
       bool await_ready() noexcept {
         if (b.arrived_ + 1 == b.parties_) {
           b.release_all();
@@ -116,13 +122,13 @@ class Barrier {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(std::coroutine_handle<> h) noexcept {
         ++b.arrived_;
-        b.waiters_.push_back(h);
+        b.waiters_.park(node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
@@ -132,7 +138,7 @@ class Barrier {
   std::size_t parties_;
   std::size_t arrived_ = 0;
   std::uint64_t generation_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList waiters_;
 };
 
 /// Countdown latch: await until count_down() has been called `count` times.

@@ -9,11 +9,11 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "sim/wait_list.hpp"
 
 namespace paraio::sim {
 
@@ -37,30 +37,26 @@ class TaskGroup {
   [[nodiscard]] auto join() {
     struct Awaiter {
       TaskGroup& group;
+      WaitList::Node node;
       bool await_ready() const noexcept { return group.active_ == 0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        group.joiners_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        group.joiners_.park(node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
   Task<> wrap(Task<> task) {
     co_await std::move(task);
     --active_;
-    if (active_ == 0) {
-      for (auto h : joiners_) {
-        engine_.call_in(0.0, [h] { h.resume(); });
-      }
-      joiners_.clear();
-    }
+    if (active_ == 0) joiners_.wake_all(engine_);
   }
 
   Engine& engine_;
   std::size_t active_ = 0;
-  std::deque<std::coroutine_handle<>> joiners_;
+  WaitList joiners_;
 };
 
 }  // namespace paraio::sim

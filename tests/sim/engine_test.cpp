@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -123,6 +124,76 @@ TEST(Engine, SpawnedTaskExceptionPropagatesFromRun) {
   };
   e.spawn(proc(e));
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+TEST(Engine, EachTaskFailureSurfacesOnce) {
+  Engine e;
+  auto fail_after = [](Engine& eng, double t, std::string what) -> Task<> {
+    co_await eng.delay(t);
+    throw std::runtime_error(what);
+  };
+  auto succeed_after = [](Engine& eng, double t, bool& flag) -> Task<> {
+    co_await eng.delay(t);
+    flag = true;
+  };
+  bool finished = false;
+  e.spawn(fail_after(e, 1.0, "first"));
+  e.spawn(fail_after(e, 2.0, "second"));
+  e.spawn(succeed_after(e, 3.0, finished));
+  std::vector<std::string> failures;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      e.run();
+      ADD_FAILURE() << "run() #" << attempt << " returned normally";
+    } catch (const std::runtime_error& err) {
+      failures.emplace_back(err.what());
+    }
+  }
+  EXPECT_EQ(failures, (std::vector<std::string>{"first", "second"}));
+  EXPECT_NO_THROW(e.run());
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(e.live_tasks(), 0u);
+}
+
+// The time contract is checked where events enter the queue, in every
+// build type (not by an assert), and the error names the offending time.
+TEST(Engine, RejectsNanInfiniteAndPastTimes) {
+  Engine e;
+  e.call_in(2.0, [] {});
+  e.run();
+  struct Case {
+    double delay;
+    const char* named;
+  };
+  for (const Case c : {Case{std::nan(""), "t=nan"}, Case{-1.0, "t=1 "},
+                       Case{kTimeInfinity, "t=inf"}}) {
+    SCOPED_TRACE(c.named);
+    try {
+      e.call_in(c.delay, [] {});
+      ADD_FAILURE() << "call_in accepted an invalid delay";
+    } catch (const SimTimeError& err) {
+      EXPECT_EQ(err.now(), 2.0);
+      if (std::isnan(c.delay)) {
+        EXPECT_TRUE(std::isnan(err.when()));
+      } else {
+        EXPECT_EQ(err.when(), 2.0 + c.delay);
+      }
+      EXPECT_NE(std::string(err.what()).find(c.named), std::string::npos)
+          << err.what();
+    }
+    EXPECT_THROW(e.call_at(2.0 + c.delay, [] {}), SimTimeError);
+  }
+  EXPECT_EQ(e.pending_events(), 0u);
+  e.call_at(2.0, [] {});  // now itself is a valid event time
+  EXPECT_EQ(e.pending_events(), 1u);
+}
+
+TEST(Engine, NegativeDelayFailsTheAwaitingTask) {
+  Engine e;
+  auto proc = [](Engine& eng) -> Task<> { co_await eng.delay(-1.0); };
+  e.spawn(proc(e));
+  EXPECT_THROW(e.run(), SimTimeError);
+  EXPECT_EQ(e.now(), 0.0);
 }
 
 TEST(Engine, DelayZeroYieldsAfterQueuedEvents) {

@@ -237,5 +237,59 @@ TEST(EventQueueDiff, CancelAgreement) {
   ASSERT_TRUE(heap.empty());
 }
 
+// Rung recycling: the 6000-event burst leaves a 4096-bucket rung on the
+// spare list, and the smaller bursts after it reuse that rung with most of
+// its stored buckets idle.  Cancellations land while such a rung is live,
+// and new arrivals fall inside the window being drained.
+TEST(EventQueueDiff, RecycledRungsWithIdleBuckets) {
+  for (std::uint64_t tie_seed : {0ULL, 0x5EEDULL}) {
+    SCOPED_TRACE(::testing::Message() << "tie_seed=" << tie_seed);
+    sim::EventQueue ladder;
+    sim::HeapEventQueue heap;
+    ladder.set_tie_break_seed(tie_seed);
+    heap.set_tie_break_seed(tie_seed);
+    sim::Rng rng(tie_seed + 11);
+    std::uint64_t lf = 0, hf = 0;
+    std::uint64_t seq = 1;
+    std::vector<std::pair<sim::EventId, std::uint64_t>> handles;
+    auto schedule_pair = [&](double when) {
+      const std::uint64_t s = seq++;
+      handles.emplace_back(ladder.schedule(when, [&lf, s] { lf = s; }),
+                           heap.schedule(when, [&hf, s] { hf = s; }));
+    };
+    double now = 0.0;
+    for (const int burst : {6000, 80, 700, 50, 3000, 120, 65, 2000, 90}) {
+      const double base = now + 100.0;
+      for (int i = 0; i < burst; ++i) {
+        // Every fifth event joins a same-instant clump.
+        schedule_pair(i % 5 == 0 ? base + 25.0
+                                 : base + rng.uniform(0.0, 50.0));
+      }
+      int popped = 0;
+      while (!ladder.empty()) {
+        ASSERT_FALSE(heap.empty());
+        ASSERT_EQ(ladder.next_time(), heap.next_time());
+        auto [lw, la] = ladder.pop();
+        auto [hw, ha] = heap.pop();
+        ASSERT_EQ(lw, hw);
+        la();
+        ha();
+        ASSERT_EQ(lf, hf);
+        now = lw;
+        ++popped;
+        if (popped % 3 == 0) {
+          const auto idx = static_cast<std::size_t>(
+              rng.uniform_int(0, handles.size() - 1));
+          ASSERT_EQ(ladder.cancel(handles[idx].first),
+                    heap.cancel(handles[idx].second))
+              << "cancel disagreement at handle " << idx;
+        }
+        if (popped % 7 == 0) schedule_pair(now + rng.uniform(0.0, 1.0));
+      }
+      ASSERT_TRUE(heap.empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace paraio::testkit
