@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point:
 #
-#   1. lint   — paraio_lint (cross-file concurrency + flow-sensitive
-#               dataflow checks) over every shipping source tree (src/,
+#   1. lint   — paraio_lint (determinism, layering, and flow-sensitive
+#               coroutine checks) over every shipping source tree (src/,
 #               bench/, examples/, tools/) and tests/ (seeded fixtures
 #               excluded), with the checked-in SARIF baseline applied and
 #               docs/LINTING.md checked against the compiled-in catalog;
@@ -12,7 +12,9 @@
 #               build, warnings promoted to errors.
 #   3. verify — the concurrency-verification layer on its own: the
 #               schedule-perturbation checker over the golden suite, the
-#               deadlock-detector tests, and a tree-wide lint run that
+#               deadlock-detector tests (the guard for lock-order and
+#               channel deadlocks), the nodiscard compile guard (dropped
+#               Tasks and awaitables), and a tree-wide lint run that
 #               leaves a SARIF artifact (build/paraio_lint.sarif).
 #   4. obs    — paraio_stat on a small ESCAT run: the report must mention
 #               the key signals and the emitted Chrome trace must be valid
@@ -80,24 +82,21 @@ run_stage build -DPARAIO_WERROR=ON
 # The concurrency-verification layer, run as its own gate so a scheduling
 # or deadlock regression is named directly instead of drowning in the full
 # suite output: schedule-perturbation invariance over the golden
-# configurations, the runtime deadlock detector, the tie-break kernel, and
-# the engine's observer list (attach order, out-of-order teardown).
-echo "== verify: schedule perturbation + deadlock detection =="
+# configurations, the runtime deadlock detector (lock-order inversions and
+# waits-for cycles), the nodiscard compile guard (a dropped sim::Task or
+# awaitable must not compile), the tie-break kernel, and the engine's
+# observer list (attach order, out-of-order teardown).
+echo "== verify: schedule perturbation + deadlock detection + nodiscard =="
 ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Perturb|DeadlockDetector|TieBreak|EngineObservers'
+  -R 'Perturb|DeadlockDetector|NodiscardGuard|TieBreak|EngineObservers'
 
-echo "== verify: tree-wide lint with SARIF + cross-LP report artifacts =="
+echo "== verify: tree-wide lint with SARIF artifact =="
 timeout 120 "${lint_dir}/paraio_lint" --werror --stats \
   --sarif=build/paraio_lint.sarif \
-  --lp-report=build/paraio_lint_cross_lp.txt \
   --baseline=tools/paraio_lint/baseline.sarif --exclude=fixtures \
   src bench examples tools tests
 test -s build/paraio_lint.sarif
 grep -q '"version":"2.1.0"' build/paraio_lint.sarif
-# The ranked shared-state audit ships alongside the SARIF log so a reviewer
-# can see the parallel-DES-readiness picture even when nothing fires.
-test -s build/paraio_lint_cross_lp.txt
-grep -q 'cross-LP shared-state audit' build/paraio_lint_cross_lp.txt
 
 # --- fault stage -----------------------------------------------------------
 # Fault injection & recovery (docs/FAULTS.md): mid-run disk failure with the

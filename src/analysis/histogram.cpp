@@ -1,7 +1,5 @@
 #include "analysis/histogram.hpp"
 
-#include <bit>
-
 namespace paraio::analysis {
 
 bool SizeClassHistogram::is_bimodal(double significant_fraction) const {
@@ -13,27 +11,6 @@ bool SizeClassHistogram::is_bimodal(double significant_fraction) const {
   const double mid = static_cast<double>(counts_[1]) / static_cast<double>(n);
   return small >= significant_fraction && large >= significant_fraction &&
          mid < small && mid < large;
-}
-
-std::size_t Log2Histogram::bucket_of(std::uint64_t size) const {
-  if (size == 0) return 0;
-  return static_cast<std::size_t>(std::bit_width(size) - 1);
-}
-
-void Log2Histogram::add(std::uint64_t size) {
-  const std::size_t b = bucket_of(size);
-  if (b >= counts_.size()) counts_.resize(b + 1, 0);
-  ++counts_[b];
-}
-
-std::uint64_t Log2Histogram::count(std::size_t bucket) const {
-  return bucket < counts_.size() ? counts_[bucket] : 0;
-}
-
-std::uint64_t Log2Histogram::total() const {
-  std::uint64_t t = 0;
-  for (auto c : counts_) t += c;
-  return t;
 }
 
 }  // namespace paraio::analysis

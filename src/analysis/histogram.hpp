@@ -1,13 +1,10 @@
-// Request-size histograms.
-//
-// SizeClassHistogram uses the paper's four bins (< 4 KB, < 64 KB, < 256 KB,
-// >= 256 KB) — the columns of Tables 2, 4 and 6.  Log2Histogram provides a
-// finer general-purpose distribution for the off-line statistics.
+// Request-size histogram with the paper's four bins (< 4 KB, < 64 KB,
+// < 256 KB, >= 256 KB) — the columns of Tables 2, 4 and 6.  A finer log2
+// distribution is obs::Histogram.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace paraio::analysis {
 
@@ -46,21 +43,6 @@ class SizeClassHistogram {
 
  private:
   std::array<std::uint64_t, kClasses> counts_{};
-};
-
-/// Power-of-two bucketed histogram: bucket b holds sizes in [2^b, 2^(b+1)).
-class Log2Histogram {
- public:
-  void add(std::uint64_t size);
-
-  [[nodiscard]] std::size_t bucket_of(std::uint64_t size) const;
-  [[nodiscard]] std::uint64_t count(std::size_t bucket) const;
-  [[nodiscard]] std::uint64_t total() const;
-  /// Highest non-empty bucket + 1 (0 when empty).
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-
- private:
-  std::vector<std::uint64_t> counts_;
 };
 
 }  // namespace paraio::analysis

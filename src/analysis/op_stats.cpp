@@ -17,9 +17,7 @@ OperationStats::OperationStats(const pablo::Trace& trace) {
     all_.duration.add(e.duration);
     if (e.is_data_op()) {
       s.size.add(static_cast<double>(e.transferred));
-      s.size_histogram.add(e.transferred);
       all_.size.add(static_cast<double>(e.transferred));
-      all_.size_histogram.add(e.transferred);
     }
     if (last_start[idx] >= 0.0) {
       s.inter_arrival.add(e.timestamp - last_start[idx]);

@@ -4,15 +4,14 @@
 // operation durations and sizes."
 //
 // Per operation class: RunningStats over durations and over transfer sizes,
-// a log2 size distribution, and inter-arrival statistics (the paper's §10
-// remark that "the temporal spacing between requests across cycles is less
-// regular" is checkable as the inter-arrival coefficient of variation).
+// and inter-arrival statistics (the paper's §10 remark that "the temporal
+// spacing between requests across cycles is less regular" is checkable as
+// the inter-arrival coefficient of variation).
 #pragma once
 
 #include <array>
 #include <string>
 
-#include "analysis/histogram.hpp"
 #include "analysis/stats.hpp"
 #include "pablo/trace.hpp"
 
@@ -22,7 +21,6 @@ struct OpClassStats {
   RunningStats duration;       ///< seconds per call
   RunningStats size;           ///< transferred bytes per data op
   RunningStats inter_arrival;  ///< seconds between consecutive starts
-  Log2Histogram size_histogram;
 };
 
 class OperationStats {

@@ -25,7 +25,8 @@
 // expression for routing, placement, and drain thresholds) so same-instant
 // events can never be split across structures or mis-ordered relative to the
 // reference heap — tests/sim/event_queue_diff_test.cpp runs this queue in
-// lockstep against sim::HeapEventQueue to prove it.
+// lockstep against sim::HeapEventQueue (tests/sim/heap_queue.hpp) to prove
+// it.
 //
 // Cancellation is O(1): an EventId names a slot in the action pool plus the
 // slot's generation; cancel bumps the generation, which tombstones the entry

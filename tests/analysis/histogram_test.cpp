@@ -46,32 +46,7 @@ TEST(SizeClass, BimodalDetection) {
   EXPECT_FALSE(empty.is_bimodal());
 }
 
-TEST(Log2Histogram, BucketOf) {
-  Log2Histogram h;
-  EXPECT_EQ(h.bucket_of(0), 0u);
-  EXPECT_EQ(h.bucket_of(1), 0u);
-  EXPECT_EQ(h.bucket_of(2), 1u);
-  EXPECT_EQ(h.bucket_of(3), 1u);
-  EXPECT_EQ(h.bucket_of(4), 2u);
-  EXPECT_EQ(h.bucket_of(1023), 9u);
-  EXPECT_EQ(h.bucket_of(1024), 10u);
-}
-
-TEST(Log2Histogram, AddAndTotal) {
-  Log2Histogram h;
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1024);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.count(10), 1u);
-  EXPECT_EQ(h.count(5), 0u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets(), 11u);
-}
-
-// Property: every size lands in exactly one paper class and one log2 bucket.
+// Property: every size lands in exactly one paper class.
 class HistogramPartitionProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -69,16 +69,6 @@ TEST(OperationStats, BurstyStreamHasHighCv) {
   EXPECT_GT(s.burstiness(Op::kWrite), 1.0);
 }
 
-TEST(OperationStats, SizeHistogramBuckets) {
-  Trace t;
-  t.on_event(make(Op::kRead, 0, 0.1, 1024));
-  t.on_event(make(Op::kRead, 1, 0.1, 1024));
-  t.on_event(make(Op::kRead, 2, 0.1, 1 << 20));
-  OperationStats s(t);
-  EXPECT_EQ(s.of(Op::kRead).size_histogram.count(10), 2u);
-  EXPECT_EQ(s.of(Op::kRead).size_histogram.count(20), 1u);
-}
-
 TEST(OperationStats, TextRenderingListsPresentOpsOnly) {
   Trace t;
   t.on_event(make(Op::kRead, 0, 0.1, 64));

@@ -94,29 +94,11 @@ TEST(LintFixtures, CoroLambdaCaptureSeededCounts) {
   EXPECT_EQ(t.suppressed, 1);
 }
 
-TEST(LintFixtures, MissingCoAwaitSeededCounts) {
-  const auto findings = lint_fixture("missing_co_await.cc");
-  const Tally t = tally(findings, "missing-co-await");
-  EXPECT_EQ(t.active, 2);
-  EXPECT_EQ(t.suppressed, 1);
-}
-
-TEST(LintFixtures, DiscardedTaskSeededCounts) {
-  const auto findings = lint_fixture("discarded_task.cc");
-  const Tally t = tally(findings, "discarded-task");
-  EXPECT_EQ(t.active, 2);
-  EXPECT_EQ(t.suppressed, 1);
-}
-
 TEST(LintFixtures, SwallowedIoErrorSeededCounts) {
   const auto findings = lint_fixture("swallowed_io_error.cc");
   const Tally t = tally(findings, "swallowed-io-error");
   EXPECT_EQ(t.active, 3);
   EXPECT_EQ(t.suppressed, 1);
-  // The co_awaited discard is this check's territory alone; the bare
-  // (un-awaited) statement is additionally a discarded-task.
-  const Tally dropped = tally(findings, "discarded-task");
-  EXPECT_EQ(dropped.active, 1);
 }
 
 TEST(LintIndex, OutcomeReturningFunctionsIndexed) {
@@ -158,32 +140,6 @@ TEST(LintFixtures, UnorderedAliasSeededCounts) {
   const Tally t = tally(findings, "unordered-iter");
   EXPECT_EQ(t.active, 2);
   EXPECT_EQ(t.suppressed, 1);
-}
-
-TEST(LintFixtures, LockOrderSeededCounts) {
-  const auto findings = lint_fixture("lock_order.cc");
-  const Tally t = tally(findings, "lock-order");
-  EXPECT_EQ(t.active, 2);
-  EXPECT_EQ(t.suppressed, 1);
-  for (const auto& f : findings) {
-    if (std::string("lock-order") == f.check) {
-      EXPECT_EQ(f.severity, Severity::kWarning);
-      // Each report names a counterpart site with the opposite order.
-      EXPECT_NE(f.message.find("opposite order"), std::string::npos);
-    }
-  }
-}
-
-TEST(LintFixtures, ChannelSelfDeadlockSeededCounts) {
-  const auto findings = lint_fixture("channel_deadlock.cc");
-  const Tally t = tally(findings, "channel-self-deadlock");
-  EXPECT_EQ(t.active, 2);
-  EXPECT_EQ(t.suppressed, 1);
-  for (const auto& f : findings) {
-    if (std::string("channel-self-deadlock") == f.check) {
-      EXPECT_EQ(f.severity, Severity::kError);
-    }
-  }
 }
 
 TEST(LintFixtures, CaptureEscapeSeededCounts) {
@@ -359,44 +315,6 @@ TEST(LintFixtures, BlockingLoopColumnsPointAtLoopKeyword) {
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].rfind("while", 0), 0u) << tokens[0];
   EXPECT_EQ(tokens[1].rfind("for", 0), 0u) << tokens[1];
-}
-
-// cross-lp-shared-state: namespace-scope state written without event-queue
-// mediation, reachable from two detached entry coroutines.  The mediated
-// write (through schedule()) is counted but not flagged.
-TEST(LintFixtures, CrossLpSeededCounts) {
-  const auto findings = lint_fixture("cross_lp.cc");
-  const Tally t = tally(findings, "cross-lp-shared-state");
-  EXPECT_EQ(t.active, 2);
-  EXPECT_EQ(t.suppressed, 1);
-  for (const auto& f : findings) {
-    if (std::string("cross-lp-shared-state") == f.check) {
-      EXPECT_EQ(f.severity, Severity::kWarning);
-      EXPECT_NE(f.message.find("'producer'"), std::string::npos);
-      EXPECT_NE(f.message.find("'consumer'"), std::string::npos);
-    }
-  }
-}
-
-TEST(LintFixtures, CrossLpColumnsPointAtGlobalName) {
-  const auto tokens =
-      active_tokens_at_columns("cross_lp.cc", "cross-lp-shared-state");
-  ASSERT_EQ(tokens.size(), 2u);
-  for (const auto& at : tokens) {
-    EXPECT_EQ(at.rfind("backlog", 0), 0u) << at;
-  }
-}
-
-// The ranked report names the shared global and both entry points.
-TEST(LintIndex, CrossLpReportRanksSharedGlobal) {
-  const SourceFile file = load_fixture("cross_lp.cc");
-  const ProjectIndex index = paraio::lint::index_project({file});
-  EXPECT_NE(index.lp_report.find("cross-LP shared-state audit"),
-            std::string::npos);
-  EXPECT_NE(index.lp_report.find("backlog"), std::string::npos);
-  EXPECT_NE(index.lp_report.find("producer"), std::string::npos);
-  EXPECT_NE(index.lp_report.find("consumer"), std::string::npos);
-  EXPECT_NE(index.lp_report.find("mediated: 1"), std::string::npos);
 }
 
 // The three PR-7 intraprocedural fixtures must produce IDENTICAL findings
@@ -604,116 +522,6 @@ TEST(LintIndex, UnorderedMemberRecognizedAcrossFiles) {
   EXPECT_EQ(tally(findings, "unordered-iter").active, 1);
 }
 
-// The tentpole fix: a Task<>-returning function declared in one translation
-// unit and discarded in another (different stem, so sibling-file visibility
-// cannot connect them) is caught by the whole-program symbol table — and
-// only by it: linting the use site alone stays clean.
-TEST(LintIndex, DiscardedTaskRecognizedAcrossTranslationUnits) {
-  const SourceFile decl = load_fixture("xtu_task_decl.cc");
-  const SourceFile use = load_fixture("xtu_task_use.cc");
-
-  {
-    const std::vector<SourceFile> alone = {use};
-    const ProjectIndex index = paraio::lint::index_project(alone);
-    const auto findings = paraio::lint::lint_file(use, index, Options{});
-    EXPECT_EQ(tally(findings, "discarded-task").active, 0);
-  }
-  {
-    const std::vector<SourceFile> both = {decl, use};
-    const ProjectIndex index = paraio::lint::index_project(both);
-    EXPECT_TRUE(index.global_task_fns.contains("replicate"));
-    const auto findings = paraio::lint::lint_file(use, index, Options{});
-    EXPECT_EQ(tally(findings, "discarded-task").active, 1);
-    EXPECT_EQ(tally(findings, "discarded-task").suppressed, 1);
-    const auto decl_findings =
-        paraio::lint::lint_file(decl, index, Options{});
-    EXPECT_TRUE(decl_findings.empty());
-  }
-}
-
-// A name declared with a Task return type in one file but a non-Task return
-// type in another (`run` is both `SimTime Engine::run()` and
-// `Task<> App::run()` in the real tree) must NOT join the global set:
-// flagging every bare `x.run();` would drown the build in false positives.
-TEST(LintIndex, AmbiguousTaskNamesStaySiblingOnly) {
-  const SourceFile coro{
-      "fake/app.hpp",
-      "namespace sim { template <typename T = void> struct Task {}; }\n"
-      "struct App { sim::Task<> run(); };\n"};
-  const SourceFile plain{
-      "fake/engine.hpp",
-      "struct Engine { double run(); };\n"};
-  const SourceFile use{
-      "fake/driver.cc",
-      "void drive(Engine& engine) {\n"
-      "  engine.run();\n"
-      "}\n"};
-  const std::vector<SourceFile> files = {coro, plain, use};
-  const ProjectIndex index = paraio::lint::index_project(files);
-  EXPECT_FALSE(index.global_task_fns.contains("run"));
-  const auto findings = paraio::lint::lint_file(use, index, Options{});
-  EXPECT_EQ(tally(findings, "discarded-task").active, 0);
-}
-
-// The lock-acquisition graph spans files: an A->B order in one file and a
-// B->A order in another form a cycle, reported at both acquisition sites.
-TEST(LintIndex, LockOrderCycleAcrossFiles) {
-  const std::string preamble =
-      "namespace sim { template <typename T = void> struct Task {};\n"
-      "struct Mutex { Task<> lock(); void unlock(); }; }\n";
-  const SourceFile forward{
-      "fake/flush.cc",
-      preamble +
-          "sim::Task<> flush(sim::Mutex& meta, sim::Mutex& data) {\n"
-          "  co_await meta.lock();\n"
-          "  co_await data.lock();\n"
-          "  data.unlock();\n"
-          "  meta.unlock();\n"
-          "}\n"};
-  const SourceFile backward{
-      "fake/compact.cc",
-      preamble +
-          "sim::Task<> compact(sim::Mutex& meta, sim::Mutex& data) {\n"
-          "  co_await data.lock();\n"
-          "  co_await meta.lock();\n"
-          "  meta.unlock();\n"
-          "  data.unlock();\n"
-          "}\n"};
-  const std::vector<SourceFile> files = {forward, backward};
-  const ProjectIndex index = paraio::lint::index_project(files);
-  EXPECT_EQ(index.global_findings.size(), 2u);
-  EXPECT_EQ(tally(paraio::lint::lint_file(forward, index, Options{}),
-                  "lock-order")
-                .active,
-            1);
-  EXPECT_EQ(tally(paraio::lint::lint_file(backward, index, Options{}),
-                  "lock-order")
-                .active,
-            1);
-}
-
-// Consistent acquisition order across files stays silent.
-TEST(LintIndex, ConsistentLockOrderIsClean) {
-  const std::string preamble =
-      "namespace sim { template <typename T = void> struct Task {};\n"
-      "struct Mutex { Task<> lock(); void unlock(); }; }\n";
-  const SourceFile one{
-      "fake/one.cc",
-      preamble +
-          "sim::Task<> f(sim::Mutex& a, sim::Mutex& b) {\n"
-          "  co_await a.lock();\n  co_await b.lock();\n"
-          "  b.unlock();\n  a.unlock();\n}\n"};
-  const SourceFile two{
-      "fake/two.cc",
-      preamble +
-          "sim::Task<> g(sim::Mutex& a, sim::Mutex& b) {\n"
-          "  co_await a.lock();\n  co_await b.lock();\n"
-          "  b.unlock();\n  a.unlock();\n}\n"};
-  const std::vector<SourceFile> files = {one, two};
-  const ProjectIndex index = paraio::lint::index_project(files);
-  EXPECT_TRUE(index.global_findings.empty());
-}
-
 // SARIF export: valid JSON (checked with the same dependency-free validator
 // the trace exporter uses), one rule per catalog entry, suppressed findings
 // marked rather than dropped.
@@ -752,7 +560,7 @@ TEST(LintStrip, CommentsAndStringsBecomeSpaces) {
 
 TEST(LintCatalog, EveryCheckHasIdSummaryAndDetail) {
   const auto& catalog = paraio::lint::checks();
-  EXPECT_GE(catalog.size(), 17u);
+  EXPECT_EQ(catalog.size(), 12u);
   for (const auto& check : catalog) {
     EXPECT_NE(std::string(check.id), "");
     EXPECT_NE(std::string(check.summary), "");

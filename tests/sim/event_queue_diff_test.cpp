@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/heap_queue.hpp"
+#include "heap_queue.hpp"
 #include "sim/random.hpp"
 #include "testkit/gen.hpp"
 

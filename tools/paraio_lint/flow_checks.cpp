@@ -318,8 +318,8 @@ void check_one_lock_across_suspension(const FlowContext& ctx,
     bodies[i] = masked_node_text(ctx.stripped, ctx.cfgs, fn, node);
     for (LockSite& site : node_lock_sites(bodies[i], node.lo)) {
       if (site.acquire) {
-        // Only a co_awaited acquisition takes the lock (a bare one is
-        // missing-co-await's finding, not a held region).
+        // Only a co_awaited acquisition takes the lock (a bare one drops
+        // a [[nodiscard]] awaitable, which the compiler rejects).
         if (!node.suspends) continue;
         acqs.push_back(Acq{i, std::move(site)});
       } else {

@@ -1,8 +1,6 @@
 #include "paraio_lint/lint.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cctype>
 #include <chrono>
 #include <map>
 #include <ostream>
@@ -61,22 +59,6 @@ constexpr CheckInfo kChecks[] = {
      "destroyed at the end of the full-expression and every capture "
      "dangles.  Pass state as coroutine parameters (they are copied into "
      "the frame) or use a named function."},
-    {"missing-co-await", Severity::kError,
-     "awaitable constructed and dropped without co_await: the operation "
-     "never runs",
-     "Awaitables in this tree (Mutex::lock, Semaphore::acquire, "
-     "Event::wait, Channel::send/recv, ...) are lazy: constructing one "
-     "does nothing until it is co_awaited.  A bare `m.lock();` statement "
-     "compiles, silently does not take the lock, and the critical section "
-     "runs unprotected."},
-    {"discarded-task", Severity::kError,
-     "Task<T>-returning call used as a plain statement: the coroutine is "
-     "destroyed without ever starting",
-     "sim::Task is lazily started: the callee body runs only when the task "
-     "is co_awaited or handed to spawn()/spawn_daemon().  A discarded call "
-     "result destroys the suspended frame, so the work silently never "
-     "happens.  The index knows every Task-returning name in the tree, so "
-     "this fires across translation units."},
     {"swallowed-io-error", Severity::kError,
      "typed I/O outcome discarded: the *Outcome return value is the only "
      "failure channel; bind and inspect it",
@@ -85,23 +67,6 @@ constexpr CheckInfo kChecks[] = {
      "record that the operation failed, and the fault-injection tests rely "
      "on callers observing those failures.  Bind the result and branch on "
      "it."},
-    {"lock-order", Severity::kWarning,
-     "lock acquired in conflicting orders across the tree: some "
-     "interleaving can deadlock; establish one global acquisition order",
-     "The index records every `acquired B while holding A` site across all "
-     "files and searches the resulting graph for cycles.  A cycle means "
-     "some interleaving of tasks deadlocks even though each file looks "
-     "fine locally.  Fix by choosing one global acquisition order.  The "
-     "runtime DeadlockDetector catches the schedules that actually hang; "
-     "this catches the ones that merely could."},
-    {"channel-self-deadlock", Severity::kError,
-     "bounded channel sent and received by the same coroutine: once the "
-     "buffer fills the send blocks forever (nobody else drains it)",
-     "A bounded channel's send suspends when the buffer is full.  If the "
-     "same coroutine is also the only receiver, nothing can drain the "
-     "buffer while the sender is parked, so the task deadlocks with "
-     "itself.  Split producer and consumer into separate tasks or use an "
-     "unbounded channel."},
     {"capture-escape", Severity::kError,
      "stack-local address escapes into a detached coroutine: the frame "
      "outlives the caller's locals; pass by value or heap-own the state",
@@ -164,19 +129,6 @@ constexpr CheckInfo kChecks[] = {
      "co_returns) completes synchronously and does not yield.  Only "
      "unbounded-shaped loops (while (true), for (;;), bare-flag "
      "conditions) are flagged; bounded compute loops are fine."},
-    {"cross-lp-shared-state", Severity::kWarning,
-     "unmediated write to namespace-scope state reachable from more than "
-     "one logical-process entry point",
-     "Summary-powered (call graph + entry reachability) — the "
-     "parallel-DES-readiness audit.  Conservative parallel DES partitions "
-     "the simulation into logical processes (per-ION, per-compute-node) "
-     "that may only interact through timestamped events.  A namespace-"
-     "scope mutable variable written without event-queue mediation "
-     "(schedule/send) and reachable from two or more detached-coroutine "
-     "entry points is exactly the shared state that makes such a "
-     "partition unsound.  The full ranked audit is written by "
-     "`--lp-report=`; route the state through a channel or own it in one "
-     "LP."},
 };
 
 // Token helpers (is_ident, line_of, skip_balanced, find_word, ...) live in
@@ -303,301 +255,6 @@ void collect_alias_vars(const std::string& stripped,
       const std::size_t next = skip_spaces(stripped, end);
       if (next < stripped.size() && stripped[next] == '(') continue;
       names->insert(name);
-    }
-  }
-}
-
-constexpr std::array<const char*, 24> kNonTypeKeywords = {
-    "return",   "co_return", "co_await", "co_yield", "if",       "while",
-    "for",      "switch",    "case",     "else",     "do",       "new",
-    "delete",   "throw",     "goto",     "sizeof",   "using",    "typedef",
-    "template", "typename",  "operator", "not",      "and",      "or"};
-
-bool is_non_type_keyword(const std::string& word) {
-  return std::any_of(kNonTypeKeywords.begin(), kNonTypeKeywords.end(),
-                     [&](const char* k) { return word == k; });
-}
-
-/// Function declarations/definitions: `name(` whose preceding token is a
-/// return type.  Records, per name, whether a Task<...> and/or a non-Task
-/// return type was seen anywhere.  Qualified definitions
-/// (`sim::Task<> Foo::bar(...)`) are handled by skipping `X::` chains.
-void collect_fn_decls(const std::string& stripped,
-                      std::map<std::string, std::pair<bool, bool>>* decls) {
-  for (std::size_t pos = 0; pos < stripped.size(); ++pos) {
-    if (!is_ident_start(stripped[pos]) ||
-        (pos > 0 && is_ident(stripped[pos - 1]))) {
-      continue;
-    }
-    std::size_t end = pos;
-    const std::string name = read_ident(stripped, pos, &end);
-    const std::size_t paren = skip_spaces(stripped, end);
-    if (paren >= stripped.size() || stripped[paren] != '(') {
-      pos = end;
-      continue;
-    }
-    // Walk backward over `Qualifier::` chains to the return-type tail.
-    std::size_t back = pos;
-    for (;;) {
-      std::size_t prev = prev_nonspace(stripped, back);
-      if (prev == std::string::npos) break;
-      if (stripped[prev] == ':' && prev > 0 && stripped[prev - 1] == ':') {
-        // `X::name` — skip the qualifier identifier and keep walking.
-        std::size_t qual_end = prev_nonspace(stripped, prev - 1);
-        if (qual_end == std::string::npos || !is_ident(stripped[qual_end])) {
-          break;
-        }
-        std::size_t qb = 0;
-        read_ident_backward(stripped, qual_end, &qb);
-        back = qb;
-        continue;
-      }
-      if (stripped[prev] == '&' || stripped[prev] == '*') {
-        back = prev;
-        continue;
-      }
-      if (stripped[prev] == '>') {
-        if (prev > 0 && stripped[prev - 1] == '-') break;  // `->name(`: a call
-        // Template return type: find the word before the matching '<'.
-        int depth = 0;
-        std::size_t i = prev + 1;
-        std::size_t open = std::string::npos;
-        while (i > 0) {
-          --i;
-          if (stripped[i] == '>') ++depth;
-          if (stripped[i] == '<' && --depth == 0) {
-            open = i;
-            break;
-          }
-        }
-        if (open == std::string::npos || open == 0) break;
-        std::size_t tb = 0;
-        const std::string tmpl =
-            is_ident(stripped[open - 1])
-                ? read_ident_backward(stripped, open - 1, &tb)
-                : "";
-        if (tmpl.empty()) break;
-        auto& flags = (*decls)[name];
-        (tmpl == "Task" ? flags.first : flags.second) = true;
-        break;
-      }
-      if (is_ident(stripped[prev])) {
-        const std::string word = read_ident_backward(stripped, prev);
-        if (is_non_type_keyword(word)) break;  // a call, not a declaration
-        // `Type name(` with a non-template, hence non-Task, return type.
-        (*decls)[name].second = true;
-        break;
-      }
-      break;  // `(`, `,`, `=`, `.`, ... — a call or initializer
-    }
-    pos = end;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Channel declarations
-
-struct ChannelDecls {
-  std::set<std::string> bounded;
-  std::set<std::string> unbounded;
-  std::set<std::string> unknown;  // declared without constructor arguments
-};
-
-void collect_channel_decls(const std::string& stripped, ChannelDecls* out) {
-  std::size_t pos = 0;
-  while ((pos = stripped.find("Channel<", pos)) != std::string::npos) {
-    const std::size_t at = pos;
-    pos += 8;
-    if (at > 0 && is_ident(stripped[at - 1])) continue;  // e.g. MyChannel<
-    const std::size_t past = skip_balanced(stripped, at + 7, '<', '>');
-    if (past == std::string::npos) continue;
-    std::size_t cursor = skip_spaces(stripped, past);
-    if (cursor < stripped.size() && stripped[cursor] == ':') {
-      continue;  // `Channel<T>::kUnbounded` constant use, not a declaration
-    }
-    if (cursor + 1 < stripped.size() && stripped[cursor] == '>' ) {
-      // `make_unique<sim::Channel<T>>(args)` — the declared variable is the
-      // trailing identifier before the statement's '='.
-      const std::size_t args_open = skip_spaces(stripped, cursor + 1);
-      if (args_open >= stripped.size() || stripped[args_open] != '(') continue;
-      const std::size_t args_past =
-          skip_balanced(stripped, args_open, '(', ')');
-      if (args_past == std::string::npos) continue;
-      const std::string args =
-          stripped.substr(args_open, args_past - args_open);
-      const std::size_t stmt = stripped.find_last_of(";{}", at);
-      const std::string prefix =
-          stripped.substr(stmt == std::string::npos ? 0 : stmt + 1,
-                          at - (stmt == std::string::npos ? 0 : stmt + 1));
-      const std::size_t eq = prefix.rfind('=');
-      if (eq == std::string::npos) continue;
-      const std::string name = trailing_ident(prefix.substr(0, eq));
-      if (name.empty()) continue;
-      (args.find("kUnbounded") != std::string::npos ? out->unbounded
-                                                    : out->bounded)
-          .insert(name);
-      continue;
-    }
-    while (cursor < stripped.size() &&
-           (stripped[cursor] == '&' || stripped[cursor] == '*')) {
-      cursor = skip_spaces(stripped, cursor + 1);
-    }
-    std::size_t end = cursor;
-    const std::string name = read_ident(stripped, cursor, &end);
-    if (name.empty()) continue;
-    const std::size_t next = skip_spaces(stripped, end);
-    if (next < stripped.size() && stripped[next] == '(') {
-      const std::size_t args_past = skip_balanced(stripped, next, '(', ')');
-      if (args_past == std::string::npos) continue;
-      const std::string args = stripped.substr(next, args_past - next);
-      (args.find("kUnbounded") != std::string::npos ? out->unbounded
-                                                    : out->bounded)
-          .insert(name);
-    } else {
-      out->unknown.insert(name);
-    }
-  }
-}
-
-/// Resolves members declared `Channel<T> name_;` by finding their
-/// constructor-initializer `name_(...)` anywhere in the project.
-void classify_pending_channels(const std::string& stripped,
-                               ChannelDecls* decls) {
-  for (const std::string& name : decls->unknown) {
-    if (decls->bounded.contains(name) || decls->unbounded.contains(name)) {
-      continue;
-    }
-    for (std::size_t pos : find_word(stripped, name)) {
-      const std::size_t open = pos + name.size();
-      if (open >= stripped.size() || stripped[open] != '(') continue;
-      const std::size_t past = skip_balanced(stripped, open, '(', ')');
-      if (past == std::string::npos) continue;
-      const std::string args = stripped.substr(open, past - open);
-      if (args.find("engine") == std::string::npos &&
-          args.find("Engine") == std::string::npos) {
-        continue;  // not a channel constructor call
-      }
-      (args.find("kUnbounded") != std::string::npos ? decls->unbounded
-                                                    : decls->bounded)
-          .insert(name);
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-acquisition scan (pass 1)
-
-struct AcqSite {
-  std::size_t pos = 0;      // offset of the receiver expression's dot/arrow
-  std::string name;         // normalized receiver (trailing identifier)
-  bool indexed = false;     // receiver carried a subscript (per-ion arrays)
-  bool acquire = false;     // false: release site
-};
-
-/// Receiver of `<expr>.lock()` given the offset of the '.' (or '-' of '->'):
-/// trailing identifier with any `[...]` subscript stripped and noted.
-void parse_receiver(const std::string& stripped, std::size_t dot,
-                    std::string* name, bool* indexed) {
-  std::size_t i = dot;
-  *indexed = false;
-  if (i > 0 && stripped[i - 1] == ']') {
-    int depth = 0;
-    while (i > 0) {
-      --i;
-      if (stripped[i] == ']') ++depth;
-      if (stripped[i] == '[' && --depth == 0) break;
-    }
-    *indexed = true;
-  }
-  if (i == 0 || !is_ident(stripped[i - 1])) {
-    name->clear();
-    return;
-  }
-  *name = read_ident_backward(stripped, i - 1);
-}
-
-/// All acquire/release sites in the file, in source order.
-std::vector<AcqSite> lock_sites(const std::string& stripped) {
-  std::vector<AcqSite> sites;
-  struct Pattern {
-    const char* text;
-    std::size_t dot_len;  // 1 for '.', 2 for '->'
-    bool acquire;
-  };
-  static constexpr Pattern kPatterns[] = {
-      {".lock(", 1, true},       {"->lock(", 2, true},
-      {".acquire(", 1, true},    {"->acquire(", 2, true},
-      {".unlock(", 1, false},    {"->unlock(", 2, false},
-      {".release(", 1, false},   {"->release(", 2, false},
-  };
-  for (const Pattern& p : kPatterns) {
-    std::size_t pos = 0;
-    const std::string needle(p.text);
-    while ((pos = stripped.find(needle, pos)) != std::string::npos) {
-      const std::size_t at = pos;
-      pos += needle.size();
-      if (p.acquire) {
-        // Only a co_awaited acquisition can block (and thus order locks).
-        const std::size_t stmt = stripped.find_last_of(";{}", at);
-        const std::string prefix =
-            stripped.substr(stmt == std::string::npos ? 0 : stmt + 1,
-                            at - (stmt == std::string::npos ? 0 : stmt + 1));
-        if (prefix.find("co_await") == std::string::npos) continue;
-      }
-      AcqSite site;
-      site.pos = at;
-      site.acquire = p.acquire;
-      parse_receiver(stripped, at, &site.name, &site.indexed);
-      if (!site.name.empty()) sites.push_back(site);
-    }
-  }
-  std::sort(sites.begin(), sites.end(),
-            [](const AcqSite& a, const AcqSite& b) { return a.pos < b.pos; });
-  return sites;
-}
-
-void collect_lock_edges(const std::string& path, const std::string& stripped,
-                        const std::vector<std::size_t>& starts,
-                        std::vector<ProjectIndex::LockEdge>* edges) {
-  const auto sites = lock_sites(stripped);
-  if (sites.empty()) return;
-
-  struct Held {
-    std::string name;
-    bool indexed;
-    int depth;
-  };
-  std::vector<Held> held;
-  int depth = 0;
-  std::size_t site_i = 0;
-  for (std::size_t i = 0; i < stripped.size(); ++i) {
-    while (site_i < sites.size() && sites[site_i].pos == i) {
-      const AcqSite& s = sites[site_i++];
-      if (s.acquire) {
-        for (const Held& h : held) {
-          // Same-name edges are skipped: an indexed pair (`a_[i]`,`a_[j]`)
-          // is only a cycle when i and j cross, which this lexical scan
-          // cannot see, and a non-indexed pair is a recursive lock.
-          if (h.name == s.name) continue;
-          edges->push_back(ProjectIndex::LockEdge{
-              h.name, s.name, path, line_of(starts, s.pos),
-              col_of(starts, s.pos)});
-        }
-        held.push_back(Held{s.name, s.indexed, depth});
-      } else {
-        for (std::size_t h = held.size(); h > 0; --h) {
-          if (held[h - 1].name == s.name) {
-            held.erase(held.begin() + static_cast<std::ptrdiff_t>(h - 1));
-            break;
-          }
-        }
-      }
-    }
-    if (stripped[i] == '{') ++depth;
-    if (stripped[i] == '}') {
-      --depth;
-      std::erase_if(held, [&](const Held& h) { return h.depth > depth; });
     }
   }
 }
@@ -934,80 +591,6 @@ void check_coro_lambda_capture(const std::string& stripped,
   }
 }
 
-bool line_has_excuse(const std::string& line) {
-  return line.find("co_await") != std::string::npos ||
-         line.find("co_yield") != std::string::npos ||
-         line.find("return") != std::string::npos ||
-         line.find("spawn") != std::string::npos ||
-         line.find('=') != std::string::npos;
-}
-
-void check_missing_co_await(const std::vector<std::string>& stripped_lines,
-                            const std::vector<std::size_t>& starts,
-                            Sink* out) {
-  static constexpr std::array<const char*, 9> kAwaitables = {
-      "delay",   "yield", "wait", "acquire", "lock",
-      "arrive_and_wait", "join",  "recv",    "await_turn"};
-  for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
-    const std::string& line = stripped_lines[i];
-    if (line_has_excuse(line)) continue;
-    for (const char* name : kAwaitables) {
-      const std::string dot = std::string(".") + name + "(";
-      const std::string arrow = std::string("->") + name + "(";
-      std::size_t at = line.find(dot);
-      std::size_t skip = 1;
-      if (at == std::string::npos) {
-        at = line.find(arrow);
-        skip = 2;
-      }
-      if (at != std::string::npos) {
-        add(out, "missing-co-await", starts, starts[i] + at + skip,
-            std::string("'") + name +
-                "()' builds an awaitable that is dropped without co_await: "
-                "the suspension (and any side effect) never happens");
-        break;
-      }
-    }
-  }
-}
-
-void check_discarded_task(const std::vector<std::string>& stripped_lines,
-                          const std::vector<std::size_t>& starts,
-                          const std::set<std::string>& task_fns, Sink* out) {
-  if (task_fns.empty()) return;
-  for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
-    const std::string raw_line = stripped_lines[i];
-    const std::string line = trim(raw_line);
-    const std::size_t indent = raw_line.size() - line.size() -
-                               (raw_line.find_last_not_of(" \t") ==
-                                        std::string::npos
-                                    ? 0
-                                    : raw_line.size() -
-                                          raw_line.find_last_not_of(" \t") -
-                                          1);
-    if (line.empty() || line.back() != ';') continue;
-    if (line_has_excuse(line)) continue;
-    for (const std::string& name : task_fns) {
-      const std::size_t at = line.find(name + "(");
-      if (at == std::string::npos) continue;
-      if (at > 0 && is_ident(line[at - 1])) continue;
-      // Statement position: everything before the call must be an object
-      // chain (`obj.`, `ptr->`, `ns::`), not an enclosing call or keyword.
-      const std::string prefix = line.substr(0, at);
-      const bool chain_only =
-          prefix.find('(') == std::string::npos &&
-          prefix.find(' ') == std::string::npos &&
-          prefix.find("co_") == std::string::npos;
-      if (!chain_only) continue;
-      add(out, "discarded-task", starts, starts[i] + indent + at,
-          "call to Task-returning '" + name +
-              "()' as a bare statement: the coroutine is destroyed before "
-              "it runs; co_await it or hand it to Engine::spawn");
-      break;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Swallowed typed I/O outcomes (pass 2, against the pass-1 outcome-fn index)
 
@@ -1041,10 +624,10 @@ void collect_outcome_fns(const std::string& stripped,
 }
 
 /// Flags single-line statements that call an Outcome-returning function and
-/// drop the result.  `co_await` does not rescue the value — the awaited
-/// outcome is still discarded — so awaited bare statements are flagged too
-/// (complementary to discarded-task, which catches the un-awaited form).
-/// Deliberate discards go through `(void)` or an allow() suppression.
+/// drop the result, with or without `co_await`.  The compiler rejects an
+/// un-awaited discard (the Task is [[nodiscard]]) but stays silent on a
+/// discarded `co_await` of a [[nodiscard]] outcome, so the awaited form is
+/// what only this check catches.  Deliberate discards go through `(void)` or an allow() suppression.
 void check_swallowed_io_error(const std::vector<std::string>& stripped_lines,
                               const std::vector<std::size_t>& starts,
                               const std::set<std::string>& outcome_fns,
@@ -1094,77 +677,6 @@ void check_swallowed_io_error(const std::vector<std::string>& stripped_lines,
               "channel; bind and inspect it (or cast to void to discard "
               "deliberately)");
       break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Channel self-deadlock (pass 2, against the pass-1 channel tables and the
-// pass-2 CFGs, which attribute each site to its innermost enclosing body)
-
-/// co_awaited `name.send(` / `name.recv(` sites for `name` in `stripped`.
-std::vector<std::size_t> channel_op_sites(const std::string& stripped,
-                                          const std::string& name,
-                                          const char* op) {
-  std::vector<std::size_t> out;
-  for (const char* sep : {".", "->"}) {
-    const std::string needle = name + sep + op + "(";
-    std::size_t pos = 0;
-    while ((pos = stripped.find(needle, pos)) != std::string::npos) {
-      const std::size_t at = pos;
-      pos += needle.size();
-      if (at > 0 && is_ident(stripped[at - 1])) continue;
-      const std::size_t stmt = stripped.find_last_of(";{}", at);
-      const std::string prefix =
-          stripped.substr(stmt == std::string::npos ? 0 : stmt + 1,
-                          at - (stmt == std::string::npos ? 0 : stmt + 1));
-      if (prefix.find("co_await") == std::string::npos) continue;
-      out.push_back(at);
-    }
-  }
-  return out;
-}
-
-void check_channel_self_deadlock(const std::string& stripped,
-                                 const std::vector<std::size_t>& starts,
-                                 const std::set<std::string>& bounded,
-                                 const std::vector<FunctionCfg>& cfgs,
-                                 Sink* out) {
-  if (bounded.empty()) return;
-  // Innermost enclosing function body (the CFG builder knows lambda
-  // boundaries, so a producer lambda and a consumer lambda in the same
-  // test function are distinct coroutines, not one self-deadlocking task).
-  auto body_of = [&](std::size_t pos) -> std::size_t {
-    std::size_t best = static_cast<std::size_t>(-1);
-    std::size_t best_size = static_cast<std::size_t>(-1);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      const FunctionCfg& fn = cfgs[i];
-      if (pos <= fn.body_lo || pos >= fn.body_hi) continue;
-      if (fn.body_hi - fn.body_lo < best_size) {
-        best = i;
-        best_size = fn.body_hi - fn.body_lo;
-      }
-    }
-    return best;
-  };
-  for (const std::string& name : bounded) {
-    const auto sends = channel_op_sites(stripped, name, "send");
-    const auto recvs = channel_op_sites(stripped, name, "recv");
-    if (sends.empty() || recvs.empty()) continue;
-    for (std::size_t send : sends) {
-      const std::size_t body = body_of(send);
-      if (body == static_cast<std::size_t>(-1)) continue;
-      const bool same = std::any_of(
-          recvs.begin(), recvs.end(),
-          [&](std::size_t r) { return body_of(r) == body; });
-      if (same) {
-        add(out, "channel-self-deadlock", starts, send,
-            "coroutine both sends on and receives from bounded channel '" +
-                name +
-                "': once the buffer fills the send suspends and the recv "
-                "that would drain it never runs; split the roles across "
-                "tasks or make the channel unbounded");
-      }
     }
   }
 }
@@ -1308,55 +820,6 @@ void check_layering(const std::string& path, const std::string& raw,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Lock-order cycle detection (runs once, at index time)
-
-void detect_lock_cycles(ProjectIndex* index) {
-  const auto& edges = index->lock_edges;
-  if (edges.empty()) return;
-  // reachable(from, to) over the acquisition-order graph.
-  auto reachable = [&](const std::string& from, const std::string& to) {
-    std::vector<const std::string*> frontier{&from};
-    std::set<std::string> seen{from};
-    std::vector<std::pair<std::size_t, bool>> unused;
-    while (!frontier.empty()) {
-      const std::string cur = *frontier.back();
-      frontier.pop_back();
-      if (cur == to) return true;
-      for (const auto& e : edges) {
-        if (e.from == cur && seen.insert(e.to).second) {
-          frontier.push_back(&e.to);
-        }
-      }
-    }
-    return false;
-  };
-  for (const auto& e : edges) {
-    if (!reachable(e.to, e.from)) continue;
-    // Name a counterpart site on the return path for the message.
-    std::string counterpart;
-    for (const auto& other : edges) {
-      if (other.from == e.to && reachable(other.to, e.from)) {
-        counterpart = other.file + ":" + std::to_string(other.line);
-        break;
-      }
-    }
-    const CheckInfo* info = find_check("lock-order");
-    Finding f;
-    f.file = e.file;
-    f.line = e.line;
-    f.col = e.col;
-    f.check = info->id;
-    f.severity = info->severity;
-    f.message = "lock '" + e.to + "' acquired while holding '" + e.from +
-                "', but the tree also acquires them in the opposite order" +
-                (counterpart.empty() ? "" : " (see " + counterpart + ")") +
-                ": some interleaving deadlocks; establish one global "
-                "acquisition order";
-    index->global_findings.push_back(std::move(f));
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1380,9 +843,8 @@ const std::vector<const char*>& cli_flags() {
   // the CI `--check-docs` run both fail when this list and the driver (or
   // the doc) drift apart.
   static const std::vector<const char*> kFlags = {
-      "--werror",     "--disable",     "--exclude", "--sarif",
-      "--baseline",   "--lp-report",   "--stats",   "--check-docs",
-      "--list-checks", "--explain",
+      "--werror",   "--disable", "--exclude",     "--sarif",  "--baseline",
+      "--stats",    "--check-docs", "--list-checks", "--explain",
   };
   return kFlags;
 }
@@ -1470,31 +932,14 @@ ProjectIndex index_project(const std::vector<SourceFile>& files,
   stripped_files.reserve(files.size());
 
   std::vector<std::pair<std::string, std::string>> aliases;
-  std::map<std::string, std::pair<bool, bool>> fn_decls;  // task / non-task
-  ChannelDecls channels;
 
   for (const SourceFile& f : files) {
     stripped_files.push_back(strip_comments_and_strings(f.content));
     const std::string& stripped = stripped_files.back();
     collect_unordered_names(stripped, &index.unordered_names);
     collect_type_aliases(stripped, &aliases);
-    collect_channel_decls(stripped, &channels);
     collect_outcome_fns(stripped, &index.outcome_fns);
     collect_detached_fns(stripped, &index.detached_fns);
-
-    std::map<std::string, std::pair<bool, bool>> file_decls;
-    collect_fn_decls(stripped, &file_decls);
-    std::set<std::string> task_names;
-    for (const auto& [name, flags] : file_decls) {
-      if (flags.first) task_names.insert(name);
-      auto& merged = fn_decls[name];
-      merged.first |= flags.first;
-      merged.second |= flags.second;
-    }
-    index.task_fns.emplace_back(f.path, std::move(task_names));
-
-    const auto starts = line_starts(f.content);
-    collect_lock_edges(f.path, stripped, starts, &index.lock_edges);
   }
 
   // Unordered-alias fixpoint: `using A = std::unordered_map<...>`, then
@@ -1514,16 +959,7 @@ ProjectIndex index_project(const std::vector<SourceFile>& files,
   }
   for (const std::string& stripped : stripped_files) {
     collect_alias_vars(stripped, unordered_aliases, &index.unordered_names);
-    classify_pending_channels(stripped, &channels);
   }
-
-  for (const auto& [name, flags] : fn_decls) {
-    if (flags.first && !flags.second) index.global_task_fns.insert(name);
-  }
-  index.bounded_channels = std::move(channels.bounded);
-  index.unbounded_channels = std::move(channels.unbounded);
-
-  detect_lock_cycles(&index);
   if (stats) stats->index_ms = elapsed_ms(t_index);
 
   // Pass 2 (whole-program leg): CFGs for every file, the unit the call
@@ -1541,27 +977,12 @@ ProjectIndex index_project(const std::vector<SourceFile>& files,
   }
   if (stats) stats->cfg_ms = elapsed_ms(t_cfg);
 
-  // Pass 3: call graph, bottom-up function summaries, cross-LP audit.
+  // Pass 3: call graph and bottom-up function summaries.
   const auto t_summary = Clock::now();
   index.call_graph = build_call_graph(analyses);
   SummaryStats summary_stats;
   index.summaries =
       compute_summaries(index.call_graph, analyses, &summary_stats);
-
-  const LpAudit audit =
-      cross_lp_audit(index.call_graph, analyses, index.detached_fns);
-  index.lp_report = audit.report;
-  const CheckInfo* lp_info = find_check("cross-lp-shared-state");
-  for (const LpWrite& w : audit.findings) {
-    Finding f;
-    f.file = w.file;
-    f.line = w.line;
-    f.col = w.col;
-    f.check = lp_info->id;
-    f.severity = lp_info->severity;
-    f.message = w.message;
-    index.global_findings.push_back(std::move(f));
-  }
   if (stats) {
     stats->summary_ms = elapsed_ms(t_summary);
     stats->call_graph_fns = index.call_graph.fns.size();
@@ -1572,28 +993,6 @@ ProjectIndex index_project(const std::vector<SourceFile>& files,
   }
   return index;
 }
-
-namespace {
-
-/// Task-fn names visible to `path`: the whole-program set of unambiguous
-/// Task-returning names, plus every name (ambiguous or not) declared in the
-/// file itself or its sibling header/source (same stem, .hpp <-> .cpp),
-/// where the match is precise enough to trust.
-std::set<std::string> visible_task_fns(const std::string& path,
-                                       const ProjectIndex& index) {
-  auto stem = [](const std::string& p) {
-    const std::size_t dot = p.rfind('.');
-    return dot == std::string::npos ? p : p.substr(0, dot);
-  };
-  std::set<std::string> out = index.global_task_fns;
-  const std::string my_stem = stem(path);
-  for (const auto& [file, names] : index.task_fns) {
-    if (stem(file) == my_stem) out.insert(names.begin(), names.end());
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<Finding> lint_file(const SourceFile& file,
                                const ProjectIndex& index,
@@ -1621,21 +1020,14 @@ std::vector<Finding> lint_file(const SourceFile& file,
   check_raw_random(stripped, starts, &findings);
   check_ptr_key_order(stripped, starts, &findings);
   check_coro_lambda_capture(stripped, starts, &findings);
-  check_missing_co_await(stripped_lines, starts, &findings);
-  check_discarded_task(stripped_lines, starts,
-                       visible_task_fns(file.path, index), &findings);
   check_swallowed_io_error(stripped_lines, starts, index.outcome_fns,
                            &findings);
-  // Pass 2 artifacts, shared by the scope-sensitive token checks below and
-  // the flow-sensitive checks.
-  const std::vector<FunctionCfg> cfgs = build_cfgs(stripped);
-  if (stats) stats->functions += cfgs.size();
-
-  check_channel_self_deadlock(stripped, starts, index.bounded_channels, cfgs,
-                              &findings);
   check_capture_escape(stripped, starts, &findings);
   check_layering(file.path, file.content, starts, &findings);
 
+  // Pass 2 artifacts for the flow-sensitive checks.
+  const std::vector<FunctionCfg> cfgs = build_cfgs(stripped);
+  if (stats) stats->functions += cfgs.size();
   const auto escaping_spawns = escaping_spawn_regions(stripped);
   const FlowContext flow{stripped, starts, index, cfgs, escaping_spawns,
                          stats};
@@ -1643,10 +1035,6 @@ std::vector<Finding> lint_file(const SourceFile& file,
   check_lock_across_suspension(flow, &findings);
   check_determinism_taint(flow, &findings);
   check_blocking_loop(flow, &findings);
-
-  for (const Finding& f : index.global_findings) {
-    if (f.file == file.path) findings.push_back(f);
-  }
 
   std::erase_if(findings, [&](const Finding& f) {
     return options.disabled.contains(f.check);

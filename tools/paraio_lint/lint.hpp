@@ -3,36 +3,38 @@
 // A deliberately small, token/heuristic-based linter (no libclang): it knows
 // nothing about C++ semantics beyond comment/string stripping, balanced
 // template arguments, and line structure, but that is enough to catch the
-// bug classes that break the golden-trace guarantee:
+// bug classes that break the golden-trace guarantee and that neither the
+// compiler nor the runtime detectors see:
 //
 //   * determinism hazards  — iteration over unordered containers in
 //     trace-affecting code, wall-clock reads, raw libc randomness,
-//     pointer-keyed ordered containers;
-//   * coroutine-lifetime hazards — captures in coroutine lambdas, awaitables
-//     constructed and dropped without co_await, discarded Task<T> results,
-//     stack-local references escaping into detached coroutines;
-//   * concurrency hazards — lock-acquisition order cycles across the whole
-//     tree, a channel sent and received by the same task;
+//     pointer-keyed ordered containers, and nondeterministic values
+//     flowing into trace sinks;
+//   * coroutine-lifetime hazards — captures in coroutine lambdas,
+//     stack-local references escaping into detached coroutines, references
+//     read after a suspension, discarded co_awaited I/O outcomes;
+//   * scheduling hazards — a mutex held across a suspension, a coroutine
+//     loop that never parks;
 //   * layering violations — a lower simulator layer including a higher one,
 //     or apps reaching past the hw::Machine facade into device internals.
 //
+// Discarded Tasks and awaitables are left to the compiler ([[nodiscard]]),
+// lock-order and channel deadlocks to sim::DeadlockDetector.
+//
 // The linter runs in four passes.  Pass 1 (index_project) builds a
 // whole-program symbol table: container variables declared unordered
-// anywhere (including through `using`/`typedef` aliases), every function
-// returning sim::Task<...> in any translation unit, channel declarations
-// with their boundedness, the cross-file lock-acquisition graph, and the
-// names of coroutines handed to detached spawns.  Pass 2 builds a
-// per-function statement-level control-flow graph (cfg.hpp) and runs
-// forward dataflow over it (dataflow.hpp).  Pass 3 builds a whole-program
-// call graph over those CFGs (callgraph.hpp) and computes bottom-up
-// function summaries over its SCC condensation (summaries.hpp) — may-
-// suspend, net lock effect, taint transfer, parameter escape — plus the
-// cross-LP shared-state audit.  Pass 4 (lint_file) applies the per-file
-// checks — token-level and flow-sensitive, now summary-aware at call
-// sites — against that global knowledge, so a Task<> coroutine declared
-// in one file and discarded in another is still caught, a reference read
-// after a co_await is only flagged when a suspension actually dominates
-// it, and a lock handed to a suspending callee is still seen.
+// anywhere (including through `using`/`typedef` aliases), functions
+// returning a typed I/O outcome, and the names of coroutines handed to
+// detached spawns.  Pass 2 builds a per-function statement-level
+// control-flow graph (cfg.hpp) and runs forward dataflow over it
+// (dataflow.hpp).  Pass 3 builds a whole-program call graph over those
+// CFGs (callgraph.hpp) and computes bottom-up function summaries over its
+// SCC condensation (summaries.hpp) — may-suspend, net lock effect, taint
+// transfer, parameter escape.  Pass 4 (lint_file) applies the per-file
+// checks — token-level and flow-sensitive, summary-aware at call sites —
+// against that global knowledge, so a reference read after a co_await is
+// only flagged when a suspension actually dominates it, and a lock handed
+// to a suspending callee is still seen.
 //
 // Findings print in compiler format (`file:line:col: error: [id] message`)
 // and can be suppressed per line with `// paraio-lint: allow(<id>[,<id>...])`.
@@ -40,7 +42,6 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -106,38 +107,10 @@ struct ProjectIndex {
   /// its .cpp iterates it.
   std::set<std::string> unordered_names;
 
-  /// Per file: Task-returning function/method names declared there (used
-  /// with sibling-file visibility, where the match is precise).
-  std::vector<std::pair<std::string, std::set<std::string>>> task_fns;
-  /// Whole-program union of Task-returning names, minus names that some
-  /// file also declares with a non-Task return type (those stay
-  /// sibling-only: a global match on an ambiguous name like `run` would
-  /// misfire on every class that has a non-coroutine `run()`).
-  std::set<std::string> global_task_fns;
-
   /// Whole-program names of functions whose declared return type is (or
   /// wraps, as in sim::Task<io::IoOutcome>) an identifier ending in
   /// "Outcome" — the typed I/O error channel a call site must inspect.
   std::set<std::string> outcome_fns;
-
-  /// Channel variables by declared boundedness (kUnbounded => unbounded).
-  std::set<std::string> bounded_channels;
-  std::set<std::string> unbounded_channels;
-
-  /// Cross-file lock-acquisition graph: one edge per "acquired `to` while
-  /// holding `from`" site, with the acquiring location.
-  struct LockEdge {
-    std::string from;
-    std::string to;
-    std::string file;
-    std::size_t line = 0;
-    std::size_t col = 0;
-  };
-  std::vector<LockEdge> lock_edges;
-
-  /// Whole-program findings (currently lock-order cycles), computed once at
-  /// index time and emitted by lint_file for the file they name.
-  std::vector<Finding> global_findings;
 
   /// Names of coroutines handed to a *detached* spawn
   /// (`engine.spawn(name(...))` / `spawn_daemon(name(...))`) anywhere in
@@ -146,13 +119,11 @@ struct ProjectIndex {
   /// as dangling once a suspension point has passed.
   std::set<std::string> detached_fns;
 
-  /// Pass 3 artifacts: the whole-program call graph, one FunctionSummary
-  /// per call-graph function (indexed like `call_graph.fns`), and the
-  /// cross-LP shared-state audit report (findings are folded into
-  /// `global_findings`; the ranked text lives here for `--lp-report`).
+  /// Pass 3 artifacts: the whole-program call graph and one
+  /// FunctionSummary per call-graph function (indexed like
+  /// `call_graph.fns`).
   CallGraph call_graph;
   std::vector<FunctionSummary> summaries;
-  std::string lp_report;
 };
 
 struct Options {
@@ -174,7 +145,7 @@ struct LintRunStats {
 struct AnalysisStats {
   double index_ms = 0.0;    // pass 1: symbol index
   double cfg_ms = 0.0;      // pass 2: CFG construction (all files)
-  double summary_ms = 0.0;  // pass 3: call graph + summaries + LP audit
+  double summary_ms = 0.0;  // pass 3: call graph + summaries
   std::size_t call_graph_fns = 0;
   std::size_t call_graph_edges = 0;
   std::size_t unresolved_calls = 0;
@@ -183,7 +154,7 @@ struct AnalysisStats {
 };
 
 /// Passes 1–3: build the cross-file index, the per-file CFGs, the call
-/// graph, the function summaries, and the cross-LP audit.
+/// graph, and the function summaries.
 ProjectIndex index_project(const std::vector<SourceFile>& files,
                            AnalysisStats* stats = nullptr);
 

@@ -1,9 +1,9 @@
 // paraio_lint command-line driver.
 //
 //   paraio_lint [--werror] [--disable=id[,id...]] [--exclude=sub[,sub...]]
-//               [--sarif=path] [--baseline=path] [--lp-report=path]
-//               [--stats] [--check-docs=path] [--list-checks]
-//               [--explain <id>] paths...
+//               [--sarif=path] [--baseline=path] [--stats]
+//               [--check-docs=path] [--list-checks] [--explain <id>]
+//               paths...
 //
 // Paths may be files or directories (searched recursively for
 // .hpp/.h/.cpp/.cc); `--exclude=` drops any collected path containing one
@@ -12,9 +12,8 @@
 // --sarif= the run is also written as a SARIF 2.1.0 log (self-validated
 // before writing).  `--baseline=` accepts a previous SARIF log: findings
 // matching it on (rule, file) are demoted to externally-suppressed, and
-// baseline entries matching nothing fail the run as stale.  `--lp-report=`
-// writes the ranked cross-LP shared-state audit; `--stats` prints per-pass
-// wall time and the call-graph/summary shape to stderr.
+// baseline entries matching nothing fail the run as stale.  `--stats`
+// prints per-pass wall time and the call-graph/summary shape to stderr.
 //
 // Exit codes are stable (ExitCode in lint.hpp): 0 clean, 1 findings /
 // stale baseline / doc drift, 2 usage, IO, or internal errors.
@@ -49,7 +48,7 @@ bool lintable(const fs::path& p) {
 int usage() {
   std::cerr << "usage: paraio_lint [--werror] [--disable=id[,id...]] "
                "[--exclude=sub[,sub...]] [--sarif=path] [--baseline=path] "
-               "[--lp-report=path] [--stats] [--check-docs=path] "
+               "[--stats] [--check-docs=path] "
                "[--list-checks] [--explain <id>] <file-or-dir>...\n";
   return kExitInternalError;
 }
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> excludes;
   std::string sarif_path;
   std::string baseline_path;
-  std::string lp_report_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,9 +110,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = arg.substr(11);
       if (baseline_path.empty()) return usage();
-    } else if (arg.rfind("--lp-report=", 0) == 0) {
-      lp_report_path = arg.substr(12);
-      if (lp_report_path.empty()) return usage();
     } else if (arg.rfind("--check-docs=", 0) == 0) {
       return check_docs(arg.substr(13));
     } else if (arg == "--list-checks") {
@@ -259,14 +254,6 @@ int main(int argc, char** argv) {
               << " dataflow solve(s) hit the iteration cap before fixpoint "
                  "(non-monotone transfer?)\n";
     return kExitInternalError;
-  }
-  if (!lp_report_path.empty()) {
-    std::ofstream out(lp_report_path, std::ios::binary);
-    out << index.lp_report;
-    if (!out) {
-      std::cerr << "paraio_lint: cannot write " << lp_report_path << "\n";
-      return kExitInternalError;
-    }
   }
   if (!sarif_path.empty()) {
     const std::string sarif = paraio::lint::to_sarif(all);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <tuple>
 
 #include "paraio_lint/dataflow.hpp"
@@ -490,303 +489,6 @@ std::vector<FunctionSummary> compute_summaries(
     stats->max_fixpoint_iterations = max_iterations;
   }
   return summaries;
-}
-
-// ---------------------------------------------------------------------------
-// Cross-LP shared-state audit
-
-namespace {
-
-struct GlobalVar {
-  std::size_t file = 0;
-  std::string name;
-  std::size_t pos = 0;  // of the name, in the stripped text
-};
-
-/// Namespace-scope mutable variable declarations in `stripped`.
-/// Heuristic by design: statements at namespace/global brace depth that
-/// declare a named object and are not const/constexpr/using/typedef/extern
-/// or function/type declarations.  Array declarators and namespace-scope
-/// brace initialisers are skipped rather than mis-parsed.
-std::vector<GlobalVar> collect_globals(std::size_t file_index,
-                                       const std::string& stripped) {
-  std::vector<GlobalVar> globals;
-  // Brace kinds: 'n' namespace, 'o' other (function/type/initialiser).
-  std::vector<char> scopes;
-  std::size_t stmt_lo = 0;
-  const auto at_namespace_scope = [&]() {
-    return std::all_of(scopes.begin(), scopes.end(),
-                       [](char c) { return c == 'n'; });
-  };
-  for (std::size_t i = 0; i < stripped.size(); ++i) {
-    const char c = stripped[i];
-    if (c == '{') {
-      // Classify by the statement prefix: `namespace ... {` opens another
-      // namespace scope, anything else (type, function, initialiser) hides
-      // its contents from the global scan.
-      const std::string head = stripped.substr(stmt_lo, i - stmt_lo);
-      const bool is_ns = !find_word(head, "namespace").empty() &&
-                         find_word(head, "enum").empty() &&
-                         head.find('(') == npos && head.find('=') == npos;
-      scopes.push_back(is_ns ? 'n' : 'o');
-      stmt_lo = i + 1;
-      continue;
-    }
-    if (c == '}') {
-      if (!scopes.empty()) scopes.pop_back();
-      stmt_lo = i + 1;
-      continue;
-    }
-    if (c != ';') continue;
-    const std::size_t lo = stmt_lo;
-    const std::size_t hi = i;
-    stmt_lo = i + 1;
-    if (!at_namespace_scope()) continue;
-    const std::string stmt = trim(stripped.substr(lo, hi - lo));
-    if (stmt.empty() || stmt.find('#') != npos) continue;
-    // Function declarations, member-function out-of-line definitions,
-    // templates, type declarations, aliases, immutables: all skipped.
-    static constexpr std::string_view kSkipWords[] = {
-        "const",   "constexpr", "using",    "typedef", "extern",
-        "template", "friend",    "operator", "struct",  "class",
-        "enum",    "union",     "namespace", "static_assert", "return"};
-    bool skip = false;
-    for (const std::string_view w : kSkipWords) {
-      if (has_word_in(stmt, 0, stmt.size(), w)) {
-        skip = true;
-        break;
-      }
-    }
-    if (skip) continue;
-    // A '(' before any '=' means a function declaration (or a constructor
-    // call we cannot attribute); only keep plain `Type name;` and
-    // `Type name = init;` shapes.
-    const std::size_t eq = stmt.find('=');
-    const std::size_t paren = stmt.find('(');
-    if (paren != npos && (eq == npos || paren < eq)) continue;
-    const std::string decl = eq == npos ? stmt : trim(stmt.substr(0, eq));
-    if (decl.empty() || !is_ident(decl.back())) continue;  // arrays etc.
-    const std::string name = trailing_ident(decl);
-    if (name.empty() || name == decl) continue;  // need a type token before
-    GlobalVar g;
-    g.file = file_index;
-    g.name = name;
-    // Position of the declared name, made absolute: last word occurrence
-    // of `name` within the raw (untrimmed) statement range.
-    g.pos = lo;
-    std::size_t scan = lo;
-    while (scan < hi) {
-      const std::size_t found = stripped.find(name, scan);
-      if (found == npos || found >= hi) break;
-      const bool left_ok = found == 0 || !is_ident(stripped[found - 1]);
-      const std::size_t after = found + name.size();
-      const bool right_ok = after >= hi || !is_ident(stripped[after]);
-      if (left_ok && right_ok) g.pos = found;
-      scan = after;
-    }
-    globals.push_back(std::move(g));
-  }
-  return globals;
-}
-
-struct Access {
-  int fn = -1;
-  std::size_t pos = 0;  // body-local
-  bool write = false;
-  bool mediated = false;
-};
-
-/// Whether the occurrence of `name` at `pos` in `body` is a write.
-bool occurrence_is_write(const std::string& body, std::size_t pos,
-                         const std::string& name) {
-  const std::size_t after = skip_spaces(body, pos + name.size());
-  if (after < body.size()) {
-    const char c = body[after];
-    if (c == '=' && (after + 1 >= body.size() || body[after + 1] != '=')) {
-      return true;
-    }
-    if ((c == '+' || c == '-' || c == '*' || c == '/' || c == '%' ||
-         c == '&' || c == '|' || c == '^') &&
-        after + 1 < body.size() && body[after + 1] == '=') {
-      return true;
-    }
-    if ((c == '+' && after + 1 < body.size() && body[after + 1] == '+') ||
-        (c == '-' && after + 1 < body.size() && body[after + 1] == '-')) {
-      return true;
-    }
-    if (c == '.' || (c == '-' && after + 1 < body.size() &&
-                     body[after + 1] == '>')) {
-      const std::size_t m = after + (c == '.' ? 1 : 2);
-      std::size_t end = m;
-      const std::string method = read_ident(body, m, &end);
-      static constexpr std::string_view kMutators[] = {
-          "push_back", "emplace_back", "push", "pop", "insert", "erase",
-          "clear",     "resize",       "store", "fetch_add", "assign"};
-      for (const std::string_view w : kMutators) {
-        if (method == w) return true;
-      }
-    }
-  }
-  // Prefix ++/--.
-  const std::size_t before = prev_nonspace(body, pos);
-  if (before != npos && before > 0 &&
-      ((body[before] == '+' && body[before - 1] == '+') ||
-       (body[before] == '-' && body[before - 1] == '-'))) {
-    return true;
-  }
-  return false;
-}
-
-/// Whether the sub-statement around `pos` routes through the event queue.
-bool statement_is_mediated(const std::string& body, std::size_t pos) {
-  const std::size_t stmt = body.find_last_of(";{}", pos);
-  const std::size_t from = stmt == npos ? 0 : stmt + 1;
-  std::size_t to = body.find(';', pos);
-  if (to == npos) to = body.size();
-  return has_word_in(body, from, to, "schedule") ||
-         has_word_in(body, from, to, "schedule_at") ||
-         body.substr(from, to - from).find(".send(") != npos;
-}
-
-}  // namespace
-
-LpAudit cross_lp_audit(const CallGraph& graph,
-                       const std::vector<FileAnalysis>& files,
-                       const std::set<std::string>& entry_names) {
-  LpAudit audit;
-
-  std::vector<GlobalVar> globals;
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    for (GlobalVar& g : collect_globals(fi, files[fi].stripped)) {
-      globals.push_back(std::move(g));
-    }
-  }
-  if (globals.empty()) {
-    audit.report =
-        "cross-LP shared-state audit: no namespace-scope mutable state\n";
-    return audit;
-  }
-
-  // Entry-name reachability: for every function, the set of logical-process
-  // entry points (by name) whose call trees include it.
-  std::vector<std::set<std::string>> reaching(graph.fns.size());
-  for (const std::string& entry : entry_names) {
-    const std::vector<int>* roots = graph.resolve(entry);
-    if (roots == nullptr) continue;
-    std::vector<int> work(roots->begin(), roots->end());
-    while (!work.empty()) {
-      const int id = work.back();
-      work.pop_back();
-      const auto uid = static_cast<std::size_t>(id);
-      if (!reaching[uid].insert(entry).second) continue;
-      for (const int callee : graph.callees[uid]) work.push_back(callee);
-    }
-  }
-
-  // Accesses per global, over every function body in the same project.
-  struct GlobalReport {
-    const GlobalVar* var = nullptr;
-    std::set<std::string> entries;
-    std::vector<Access> writes;  // unmediated only
-    std::size_t reads = 0;
-    std::size_t mediated_writes = 0;
-  };
-  std::vector<GlobalReport> reports;
-  for (const GlobalVar& g : globals) {
-    GlobalReport report;
-    report.var = &g;
-    for (std::size_t id = 0; id < graph.fns.size(); ++id) {
-      const CallGraph::Fn& fn = graph.fns[id];
-      if (fn.file != g.file) continue;  // name matching is per-file
-      const FileAnalysis& file = files[fn.file];
-      const FunctionCfg& cfg = file.cfgs[fn.cfg];
-      const std::string body = masked_body(file, cfg);
-      const std::vector<std::size_t> hits = find_word(body, g.name);
-      if (hits.empty()) continue;
-      report.entries.insert(reaching[id].begin(), reaching[id].end());
-      for (const std::size_t pos : hits) {
-        if (!occurrence_is_write(body, pos, g.name)) {
-          ++report.reads;
-          continue;
-        }
-        if (statement_is_mediated(body, pos)) {
-          ++report.mediated_writes;
-          continue;
-        }
-        Access a;
-        a.fn = static_cast<int>(id);
-        a.pos = pos;
-        a.write = true;
-        report.writes.push_back(a);
-      }
-    }
-    if (report.entries.size() >= 2 && !report.writes.empty()) {
-      reports.push_back(std::move(report));
-    }
-  }
-
-  // Rank: most entry points first, then most unmediated writes.
-  std::sort(reports.begin(), reports.end(),
-            [](const GlobalReport& a, const GlobalReport& b) {
-              if (a.entries.size() != b.entries.size()) {
-                return a.entries.size() > b.entries.size();
-              }
-              if (a.writes.size() != b.writes.size()) {
-                return a.writes.size() > b.writes.size();
-              }
-              return a.var->name < b.var->name;
-            });
-
-  std::ostringstream report;
-  report << "cross-LP shared-state audit: " << reports.size()
-         << " shared global(s) with unmediated writes\n";
-  std::size_t rank = 0;
-  for (const GlobalReport& r : reports) {
-    const FileAnalysis& file = files[r.var->file];
-    const std::vector<std::size_t> starts = line_starts(file.stripped);
-    report << "  [" << ++rank << "] " << r.var->name << " (" << file.path
-           << ":" << line_of(starts, r.var->pos) << ") — entries:";
-    bool first = true;
-    for (const std::string& e : r.entries) {
-      report << (first ? " " : ", ") << e;
-      first = false;
-    }
-    report << "; unmediated writes: " << r.writes.size()
-           << "; mediated: " << r.mediated_writes << "; reads: " << r.reads
-           << "\n";
-
-    std::ostringstream entries_text;
-    first = true;
-    for (const std::string& e : r.entries) {
-      entries_text << (first ? "" : ", ") << "'" << e << "'";
-      first = false;
-    }
-    for (const Access& w : r.writes) {
-      const CallGraph::Fn& fn = graph.fns[static_cast<std::size_t>(w.fn)];
-      const FunctionCfg& cfg = files[fn.file].cfgs[fn.cfg];
-      const std::size_t abs = cfg.body_lo + w.pos;
-      LpWrite finding;
-      finding.file = file.path;
-      finding.line = line_of(starts, abs);
-      finding.col = col_of(starts, abs);
-      finding.message =
-          "namespace-scope state '" + r.var->name +
-          "' is written here without event-queue mediation but is "
-          "reachable from " +
-          std::to_string(r.entries.size()) +
-          " logical-process entry points (" + entries_text.str() +
-          "); shared mutable state across LPs blocks conservative "
-          "parallel DES";
-      audit.findings.push_back(std::move(finding));
-    }
-  }
-  if (reports.empty()) {
-    report.str("");
-    report << "cross-LP shared-state audit: no multi-entry shared state "
-              "with unmediated writes\n";
-  }
-  audit.report = report.str();
-  return audit;
 }
 
 }  // namespace paraio::lint

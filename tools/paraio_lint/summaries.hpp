@@ -1,5 +1,5 @@
 // Pass 3 of the linter, part two: bottom-up function summaries over the
-// call graph's SCC condensation, plus the cross-LP shared-state audit.
+// call graph's SCC condensation.
 //
 // Each function body is abstracted once into a FunctionSummary the flow
 // checks can consult at call sites:
@@ -87,33 +87,5 @@ FunctionSummary summary_for_call(const CallGraph& graph,
 bool awaited_expr_may_suspend(const std::string& text, std::size_t pos,
                               const CallGraph& graph,
                               const std::vector<FunctionSummary>& summaries);
-
-// ---------------------------------------------------------------------------
-// Cross-LP shared-state audit (the parallel-DES-readiness report)
-
-/// One unmediated write to shared state reachable from several
-/// logical-process entry points.  Kept free of lint.hpp types so the
-/// summary layer does not depend on the check catalog; lint.cpp adapts
-/// these into catalog findings.
-struct LpWrite {
-  std::string file;
-  std::size_t line = 0;
-  std::size_t col = 0;
-  std::string message;
-};
-
-struct LpAudit {
-  std::vector<LpWrite> findings;
-  std::string report;  // ranked human-readable audit, one global per row
-};
-
-/// Audits namespace-scope mutable state against the logical-process entry
-/// points (`entry_names`, the detached-spawn coroutines): a global written
-/// without event-queue mediation (no schedule/send in the statement's
-/// node) and reachable — through the call graph — from two or more
-/// distinct entry points is a parallelization hazard.
-LpAudit cross_lp_audit(const CallGraph& graph,
-                       const std::vector<FileAnalysis>& files,
-                       const std::set<std::string>& entry_names);
 
 }  // namespace paraio::lint
