@@ -30,6 +30,10 @@
 #               against BENCH_faults.json.
 #               PARAIO_BENCH_SOFT=1 downgrades the gate to a warning for
 #               hosts the snapshot was not recorded on (see docs/PERF.md).
+#               The characterization-study benchmark's own self-test
+#               (perfbench/run.py --selftest) then exercises the pipeline
+#               checks the production runs rely on: the SDDF round trip,
+#               replay, and ckpt::recover.
 #   6. ubsan  — a tier-1 subset rebuilt under UBSanitizer alone
 #               (PARAIO_SANITIZE=undefined): catches arithmetic/shift/
 #               bounds UB cheaply, and keeps a sanitizer prong alive on
@@ -167,6 +171,12 @@ if [[ "${1:-}" != "--fast" ]]; then
   python3 tools/check_bench.py BENCH_faults.json \
     build-perf/bench_faults.1.json build-perf/bench_faults.2.json \
     build-perf/bench_faults.3.json
+
+  # perfbench's self-test: the SDDF round trip, replay, ckpt::recover and
+  # the harness's own checks on small runs, including deliberately broken
+  # ones that must be reported (builds under .bench_build/).
+  echo "== perf: perfbench self-test =="
+  python3 perfbench/run.py --selftest
 
   # --- ubsan stage ---------------------------------------------------------
   # UBSan alone: no shadow memory, ~no slowdown, so the tier-1 kernel subset

@@ -17,7 +17,7 @@
 
 #include "analysis/tables.hpp"
 #include "hw/machine.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "ppfs/ppfs.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -84,7 +84,7 @@ int main() {
   sim::Engine engine;
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(kNodes, 4));
   ppfs::Ppfs ppfs(machine, ppfs::PpfsParams::write_behind_aggregation());
-  pablo::InstrumentedFs fs(ppfs, engine);
+  io::CaptureFs fs(ppfs, engine);
   pablo::Trace trace;
   fs.add_sink(trace);
   sim::Barrier barrier(engine, kNodes);

@@ -1,5 +1,5 @@
 // Quickstart: build a small simulated parallel machine, mount PFS, run a
-// few instrumented I/O operations from two "compute node" processes, and
+// few captured I/O operations from two "compute node" processes, and
 // print the captured characterization.
 //
 //   $ ./examples/quickstart
@@ -7,7 +7,7 @@
 
 #include "analysis/tables.hpp"
 #include "hw/machine.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "pablo/summary.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
@@ -19,9 +19,10 @@ int main() {
   sim::Engine engine;
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
 
-  // 2. A parallel file system, wrapped with Pablo-style instrumentation.
+  // 2. A parallel file system, and the Pablo capture point over it: every
+  //    handle opened through `fs` reports each operation to the sinks.
   pfs::Pfs pfs(machine);
-  pablo::InstrumentedFs fs(pfs, engine);
+  io::CaptureFs fs(pfs, engine);
   pablo::Trace trace;                       // full event capture
   pablo::FileLifetimeSummary lifetime;      // real-time reduction
   fs.add_sink(trace);

@@ -1,58 +1,55 @@
 #include "analysis/survival.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace paraio::analysis {
 
 namespace {
 
-/// Minimal interval set over [offset, end) per file: insert returns how
-/// many of the inserted bytes were already present (i.e. overwritten).
-class IntervalSet {
- public:
-  std::uint64_t insert(std::uint64_t lo, std::uint64_t hi) {
-    if (lo >= hi) return 0;
-    std::uint64_t overlap = 0;
-    auto it = intervals_.lower_bound(lo);
-    if (it != intervals_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > lo) it = prev;
-    }
-    std::uint64_t new_lo = lo, new_hi = hi;
-    while (it != intervals_.end() && it->first < hi) {
-      const std::uint64_t olap_lo = std::max(it->first, lo);
-      const std::uint64_t olap_hi = std::min(it->second, hi);
-      if (olap_lo < olap_hi) overlap += olap_hi - olap_lo;
-      new_lo = std::min(new_lo, it->first);
-      new_hi = std::max(new_hi, it->second);
-      it = intervals_.erase(it);
-    }
-    intervals_.emplace(new_lo, new_hi);
-    return overlap;
-  }
-
-  [[nodiscard]] std::uint64_t total() const {
-    std::uint64_t t = 0;
-    for (const auto& [lo, hi] : intervals_) t += hi - lo;
-    return t;
-  }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> intervals_;  // lo -> hi
+/// One storage-bound write as a byte range [lo, hi) of a file.
+struct Extent {
+  io::FileId file;
+  std::uint64_t lo;
+  std::uint64_t hi;
 };
 
 }  // namespace
 
+// Sort-and-sweep: the bytes that survive are the union of every file's
+// written ranges, and every byte of a range beyond that union was written
+// before (the per-write overlaps of an in-order replay sum to exactly
+// written - union), so write order never matters.
 WriteSurvival write_survival(const pablo::Trace& trace) {
   WriteSurvival result;
-  std::map<io::FileId, IntervalSet> files;
+  std::vector<Extent> extents;
   for (const auto& e : trace.events()) {
     if (!e.moves_data_to_storage() || e.transferred == 0) continue;
     result.bytes_written += e.transferred;
-    result.bytes_overwritten +=
-        files[e.file].insert(e.offset, e.offset + e.transferred);
+    // A range whose end wraps past 2^64 covers no representable byte.
+    if (e.offset + e.transferred > e.offset) {
+      extents.push_back({e.file, e.offset, e.offset + e.transferred});
+    }
   }
-  for (const auto& [id, set] : files) result.bytes_surviving += set.total();
+  std::sort(extents.begin(), extents.end(),
+            [](const Extent& a, const Extent& b) {
+              return a.file != b.file ? a.file < b.file : a.lo < b.lo;
+            });
+  std::uint64_t ranged = 0;  // bytes written inside representable ranges
+  for (std::size_t i = 0; i < extents.size();) {
+    // One run of overlapping or abutting ranges of a single file.
+    const io::FileId file = extents[i].file;
+    const std::uint64_t lo = extents[i].lo;
+    std::uint64_t hi = extents[i].hi;
+    for (; i < extents.size() && extents[i].file == file &&
+           extents[i].lo <= hi;
+         ++i) {
+      ranged += extents[i].hi - extents[i].lo;
+      hi = std::max(hi, extents[i].hi);
+    }
+    result.bytes_surviving += hi - lo;
+  }
+  result.bytes_overwritten = ranged - result.bytes_surviving;
   return result;
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "pablo/trace.hpp"
 

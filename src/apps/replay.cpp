@@ -10,9 +10,8 @@ namespace paraio::apps {
 Replay::Replay(hw::Machine& machine, io::FileSystem& fs,
                const pablo::Trace& trace, double scale_think)
     : machine_(machine), fs_(fs), trace_(trace), scale_think_(scale_think) {
-  const auto& events = trace_.events();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    per_node_[events[i].node].push_back(i);
+  for (const pablo::IoEvent& e : trace_.events()) {
+    per_node_[e.node].push_back(&e);
   }
 }
 
@@ -39,8 +38,7 @@ sim::Task<> Replay::stage(io::FileSystem& bare_fs) {
 }
 
 sim::Task<> Replay::node_main(io::NodeId node) {
-  const auto& events = trace_.events();
-  const auto& indices = per_node_.at(node);
+  const auto& sequence = per_node_.at(node);
   // Ordered map: the leaked-handle sweep below closes in FileId order, so
   // the replayed close sequence cannot depend on hash iteration order.
   std::map<io::FileId, io::FilePtr> handles;
@@ -49,8 +47,8 @@ sim::Task<> Replay::node_main(io::NodeId node) {
   open.create = true;
 
   double last_end = -1.0;  // original-trace end time of the previous op
-  for (std::size_t index : indices) {
-    const pablo::IoEvent& e = events[index];
+  for (const pablo::IoEvent* event : sequence) {
+    const pablo::IoEvent& e = *event;
     // Reproduce the computation gap from the original schedule.
     if (last_end >= 0.0 && e.timestamp > last_end && scale_think_ > 0.0) {
       co_await machine_.engine().delay((e.timestamp - last_end) *
@@ -127,7 +125,7 @@ sim::Task<> Replay::node_main(io::NodeId node) {
 sim::Task<> Replay::run() {
   const double t0 = machine_.engine().now();
   sim::TaskGroup group(machine_.engine());
-  for (const auto& [node, indices] : per_node_) {
+  for (const auto& [node, sequence] : per_node_) {
     group.spawn(node_main(node));
   }
   co_await group.join();

@@ -60,8 +60,8 @@ class Replay {
   io::FileSystem& fs_;
   const pablo::Trace& trace_;
   double scale_think_;
-  // Per-node event sequences (indices into trace_.events()).
-  std::map<io::NodeId, std::vector<std::size_t>> per_node_;
+  // Per-node event sequences, pointing into trace_.events().
+  std::map<io::NodeId, std::vector<const pablo::IoEvent*>> per_node_;
   ReplayStats stats_;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "pablo/instrument.hpp"
 #include "sim/engine.hpp"
 
 namespace paraio::core {
@@ -95,9 +94,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     bare = ppfs_fs.get();
   }
 
-  pablo::InstrumentedFs instrumented(*bare, engine);
+  // The apps open through the capture; stage() and checkpoint dumps open
+  // through the bare mount, so their traffic stays out of the trace.
+  io::CaptureFs captured(*bare, engine);
   ExperimentResult result;
-  instrumented.add_sink(result.trace);
+  captured.add_sink(result.trace);
 
   // Checkpoint machinery (only when enabled).  The absorber drains through
   // the PPFS client's recovery path, so it needs a PPFS mount; the
@@ -125,25 +126,25 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       [&](const auto& app_config) {
         using Config = std::decay_t<decltype(app_config)>;
         if constexpr (std::is_same_v<Config, apps::EscatConfig>) {
-          apps::Escat app(machine, instrumented, app_config);
+          apps::Escat app(machine, captured, app_config);
           app.set_checkpoint(hook);
           engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
           engine.run();
           result.phases = app.phases();
         } else if constexpr (std::is_same_v<Config, apps::RenderConfig>) {
-          apps::Render app(machine, instrumented, app_config);
+          apps::Render app(machine, captured, app_config);
           app.set_checkpoint(hook);
           engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
           engine.run();
           result.phases = app.phases();
         } else if constexpr (std::is_same_v<Config, apps::SyntheticConfig>) {
-          apps::Synthetic app(machine, instrumented, app_config);
+          apps::Synthetic app(machine, captured, app_config);
           app.set_checkpoint(hook);
           engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
           engine.run();
           result.phases = app.phases();
         } else {
-          apps::Htf app(machine, instrumented, app_config);
+          apps::Htf app(machine, captured, app_config);
           app.set_checkpoint(hook);
           engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
           engine.run();

@@ -1,62 +1,18 @@
 // Trace event records — the unit of data the whole characterization
 // pipeline operates on.
 //
-// Every application file operation is bracketed by the instrumentation
-// layer, producing one IoEvent with the call's parameters, start timestamp,
-// and duration — the Pablo I/O extension's capture model (§3.1).
+// The record is made at the io::File boundary (io/event.hpp, the one
+// capture point); these are its names on the Pablo side of the pipeline.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#include "io/file.hpp"
-#include "sim/time.hpp"
+#include "io/event.hpp"
 
 namespace paraio::pablo {
 
-/// Operation kinds, matching the rows of the paper's Tables 1/3/5.
-enum class Op : std::uint8_t {
-  kRead,
-  kWrite,
-  kSeek,
-  kOpen,
-  kClose,
-  kLsize,      // file size query (Table 5, "Lsize")
-  kFlush,      // Fortran buffer flush (Table 5, "Forflush")
-  kAsyncRead,  // iread issue (Table 3, "AsynchRead")
-  kAsyncWrite, // iwrite issue
-  kIoWait,     // iowait (Table 3, "I/O Wait")
-};
-
-[[nodiscard]] const char* to_string(Op op);
-
-/// Number of distinct Op values (for fixed-size per-op accumulators).
-inline constexpr std::size_t kOpCount = 10;
-
-/// One bracketed file operation.
-struct IoEvent {
-  sim::SimTime timestamp = 0.0;      ///< operation start time
-  sim::SimDuration duration = 0.0;   ///< wall (simulated) time in the call
-  io::NodeId node = 0;               ///< issuing compute node
-  io::FileId file = 0;               ///< target file
-  Op op = Op::kRead;
-  std::uint64_t offset = 0;          ///< file position at the start
-  std::uint64_t requested = 0;       ///< bytes requested (0 for control ops)
-  std::uint64_t transferred = 0;     ///< bytes actually moved
-  io::AccessMode mode = io::AccessMode::kUnix;
-
-  [[nodiscard]] bool is_data_op() const {
-    return op == Op::kRead || op == Op::kWrite || op == Op::kAsyncRead ||
-           op == Op::kAsyncWrite;
-  }
-  [[nodiscard]] bool moves_data_to_app() const {
-    return op == Op::kRead || op == Op::kAsyncRead;
-  }
-  [[nodiscard]] bool moves_data_to_storage() const {
-    return op == Op::kWrite || op == Op::kAsyncWrite;
-  }
-
-  friend bool operator==(const IoEvent&, const IoEvent&) = default;
-};
+using io::IoEvent;
+using io::kOpCount;
+using io::Op;
+using io::to_string;
+using io::TraceSink;
 
 }  // namespace paraio::pablo

@@ -2,32 +2,6 @@
 
 namespace paraio::pablo {
 
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kRead:
-      return "Read";
-    case Op::kWrite:
-      return "Write";
-    case Op::kSeek:
-      return "Seek";
-    case Op::kOpen:
-      return "Open";
-    case Op::kClose:
-      return "Close";
-    case Op::kLsize:
-      return "Lsize";
-    case Op::kFlush:
-      return "Forflush";
-    case Op::kAsyncRead:
-      return "AsynchRead";
-    case Op::kAsyncWrite:
-      return "AsynchWrite";
-    case Op::kIoWait:
-      return "I/O Wait";
-  }
-  return "Unknown";
-}
-
 std::string Trace::file_name(io::FileId id) const {
   auto it = names_.find(id);
   if (it != names_.end()) return it->second;

@@ -8,24 +8,18 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "pablo/event.hpp"
 
 namespace paraio::pablo {
 
-/// Consumer of live instrumentation events.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_event(const IoEvent& event) = 0;
-  /// Called when a file id is first associated with a path.
-  virtual void on_file(io::FileId id, const std::string& path) { (void)id; (void)path; }
-};
-
-/// Full event trace retained in memory.
+/// Full event trace retained in memory.  Events sit in fixed-size blocks
+/// (a deque), so appending never moves or copies the events already held
+/// and a long capture has no reallocation transient; references to held
+/// events stay valid as the trace grows.
 class Trace final : public TraceSink {
  public:
   void on_event(const IoEvent& event) override { events_.push_back(event); }
@@ -33,7 +27,7 @@ class Trace final : public TraceSink {
     names_.emplace(id, path);
   }
 
-  [[nodiscard]] const std::vector<IoEvent>& events() const noexcept {
+  [[nodiscard]] const std::deque<IoEvent>& events() const noexcept {
     return events_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
@@ -61,7 +55,7 @@ class Trace final : public TraceSink {
   }
 
  private:
-  std::vector<IoEvent> events_;
+  std::deque<IoEvent> events_;
   std::map<io::FileId, std::string> names_;
 };
 

@@ -22,7 +22,6 @@
 
 // Instrumentation and trace tooling.
 #include "pablo/filter.hpp"     // IWYU pragma: export
-#include "pablo/instrument.hpp" // IWYU pragma: export
 #include "pablo/sddf.hpp"       // IWYU pragma: export
 #include "pablo/summary.hpp"    // IWYU pragma: export
 

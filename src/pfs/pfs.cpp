@@ -395,17 +395,17 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
   co_return 0;  // unreachable
 }
 
-sim::Task<std::uint64_t> PfsFile::read(std::uint64_t bytes) {
+sim::Task<std::uint64_t> PfsFile::do_read(std::uint64_t bytes) {
   require_open("read");
   co_return co_await transfer_mode_dispatch(bytes, /*is_write=*/false);
 }
 
-sim::Task<std::uint64_t> PfsFile::write(std::uint64_t bytes) {
+sim::Task<std::uint64_t> PfsFile::do_write(std::uint64_t bytes) {
   require_open("write");
   co_return co_await transfer_mode_dispatch(bytes, /*is_write=*/true);
 }
 
-sim::Task<> PfsFile::seek(std::uint64_t offset) {
+sim::Task<> PfsFile::do_seek(std::uint64_t offset) {
   require_open("seek");
   const io::AccessMode m = object_->mode;
   if (m != io::AccessMode::kUnix && m != io::AccessMode::kAsync) {
@@ -419,20 +419,20 @@ sim::Task<> PfsFile::seek(std::uint64_t offset) {
   ++fs_.counters_.seeks;
 }
 
-sim::Task<std::uint64_t> PfsFile::size() {
+sim::Task<std::uint64_t> PfsFile::do_size() {
   require_open("size");
   co_await fs_.control_rpc(node_, fs_.meta_ion_of(*object_),
                            fs_.params().meta_service);
   co_return object_->size;
 }
 
-sim::Task<> PfsFile::flush() {
+sim::Task<> PfsFile::do_flush() {
   require_open("flush");
   co_await fs_.control_rpc(node_, fs_.meta_ion_of(*object_),
                            fs_.params().flush_service);
 }
 
-sim::Task<> PfsFile::close() {
+sim::Task<> PfsFile::do_close() {
   require_open("close");
   closed_ = true;
   assert(object_->open_handles > 0);
@@ -476,7 +476,7 @@ sim::Task<io::AsyncOp> PfsFile::submit_async(std::uint64_t bytes,
   co_return io::AsyncOp(state);
 }
 
-sim::Task<> PfsFile::set_mode(const io::OpenOptions& options) {
+sim::Task<> PfsFile::do_set_mode(const io::OpenOptions& options) {
   require_open("set_mode");
   if (options.mode == io::AccessMode::kRecord && options.record_size == 0) {
     throw std::invalid_argument("M_RECORD set_mode requires a record size");
@@ -517,12 +517,12 @@ sim::Task<> PfsFile::set_mode(const io::OpenOptions& options) {
   round->set();
 }
 
-sim::Task<io::AsyncOp> PfsFile::read_async(std::uint64_t bytes) {
+sim::Task<io::AsyncOp> PfsFile::do_read_async(std::uint64_t bytes) {
   require_open("read_async");
   co_return co_await submit_async(bytes, /*is_write=*/false);
 }
 
-sim::Task<io::AsyncOp> PfsFile::write_async(std::uint64_t bytes) {
+sim::Task<io::AsyncOp> PfsFile::do_write_async(std::uint64_t bytes) {
   require_open("write_async");
   co_return co_await submit_async(bytes, /*is_write=*/true);
 }

@@ -144,20 +144,21 @@ class PfsFile final : public io::File {
   PfsFile(Pfs& fs, std::shared_ptr<detail::FileObject> object,
           io::NodeId node, std::uint32_t rank);
 
-  [[nodiscard]] sim::Task<std::uint64_t> read(std::uint64_t bytes) override;
-  [[nodiscard]] sim::Task<std::uint64_t> write(std::uint64_t bytes) override;
-  [[nodiscard]] sim::Task<> seek(std::uint64_t offset) override;
-  [[nodiscard]] sim::Task<std::uint64_t> size() override;
-  [[nodiscard]] sim::Task<> flush() override;
-  [[nodiscard]] sim::Task<> close() override;
-  [[nodiscard]] sim::Task<io::AsyncOp> read_async(std::uint64_t bytes) override;
-  [[nodiscard]] sim::Task<io::AsyncOp> write_async(std::uint64_t bytes) override;
-  [[nodiscard]] sim::Task<> set_mode(const io::OpenOptions& options) override;
-
   [[nodiscard]] std::uint64_t tell() const override { return position(); }
   [[nodiscard]] io::FileId id() const override { return object_->id; }
   [[nodiscard]] io::NodeId node() const override { return node_; }
   [[nodiscard]] io::AccessMode mode() const override { return object_->mode; }
+
+ protected:
+  [[nodiscard]] sim::Task<std::uint64_t> do_read(std::uint64_t bytes) override;
+  [[nodiscard]] sim::Task<std::uint64_t> do_write(std::uint64_t bytes) override;
+  [[nodiscard]] sim::Task<> do_seek(std::uint64_t offset) override;
+  [[nodiscard]] sim::Task<std::uint64_t> do_size() override;
+  [[nodiscard]] sim::Task<> do_flush() override;
+  [[nodiscard]] sim::Task<> do_close() override;
+  [[nodiscard]] sim::Task<io::AsyncOp> do_read_async(std::uint64_t bytes) override;
+  [[nodiscard]] sim::Task<io::AsyncOp> do_write_async(std::uint64_t bytes) override;
+  [[nodiscard]] sim::Task<> do_set_mode(const io::OpenOptions& options) override;
 
  private:
   sim::Task<std::uint64_t> transfer_mode_dispatch(std::uint64_t bytes,

@@ -484,7 +484,7 @@ void PpfsFile::maybe_prefetch(std::uint64_t offset, std::uint64_t bytes) {
   fs_.machine().engine().spawn(background(fs_, node_, object_, lo, last));
 }
 
-sim::Task<std::uint64_t> PpfsFile::read(std::uint64_t bytes) {
+sim::Task<std::uint64_t> PpfsFile::do_read(std::uint64_t bytes) {
   require_open("read");
   std::uint64_t off;
   if (mode_ == io::AccessMode::kRecord) {
@@ -502,7 +502,7 @@ sim::Task<std::uint64_t> PpfsFile::read(std::uint64_t bytes) {
   co_return n;
 }
 
-sim::Task<std::uint64_t> PpfsFile::write(std::uint64_t bytes) {
+sim::Task<std::uint64_t> PpfsFile::do_write(std::uint64_t bytes) {
   require_open("write");
   std::uint64_t off;
   if (mode_ == io::AccessMode::kRecord) {
@@ -520,7 +520,7 @@ sim::Task<std::uint64_t> PpfsFile::write(std::uint64_t bytes) {
   co_return n;
 }
 
-sim::Task<> PpfsFile::seek(std::uint64_t offset) {
+sim::Task<> PpfsFile::do_seek(std::uint64_t offset) {
   require_open("seek");
   if (mode_ == io::AccessMode::kRecord) {
     throw std::logic_error("seek is not defined for M_RECORD handles");
@@ -531,7 +531,7 @@ sim::Task<> PpfsFile::seek(std::uint64_t offset) {
   co_return;
 }
 
-sim::Task<std::uint64_t> PpfsFile::size() {
+sim::Task<std::uint64_t> PpfsFile::do_size() {
   require_open("size");
   const std::uint32_t meta_ion = object_->id %
                                  static_cast<std::uint32_t>(
@@ -540,12 +540,12 @@ sim::Task<std::uint64_t> PpfsFile::size() {
   co_return effective_size();
 }
 
-sim::Task<> PpfsFile::flush() {
+sim::Task<> PpfsFile::do_flush() {
   require_open("flush");
   co_await fs_.flush_buffer(node_, *object_);
 }
 
-sim::Task<> PpfsFile::close() {
+sim::Task<> PpfsFile::do_close() {
   require_open("close");
   closed_ = true;
   co_await fs_.flush_buffer(node_, *object_);
@@ -557,7 +557,7 @@ sim::Task<> PpfsFile::close() {
   co_await fs_.control_rpc(node_, meta_ion, fs_.params().close_service);
 }
 
-sim::Task<> PpfsFile::set_mode(const io::OpenOptions& options) {
+sim::Task<> PpfsFile::do_set_mode(const io::OpenOptions& options) {
   require_open("set_mode");
   switch (options.mode) {
     case io::AccessMode::kUnix:
@@ -580,7 +580,7 @@ sim::Task<> PpfsFile::set_mode(const io::OpenOptions& options) {
   co_return;
 }
 
-sim::Task<io::AsyncOp> PpfsFile::read_async(std::uint64_t bytes) {
+sim::Task<io::AsyncOp> PpfsFile::do_read_async(std::uint64_t bytes) {
   require_open("read_async");
   if (mode_ == io::AccessMode::kRecord) {
     throw std::logic_error("async I/O is not defined for M_RECORD handles");
@@ -600,7 +600,7 @@ sim::Task<io::AsyncOp> PpfsFile::read_async(std::uint64_t bytes) {
   co_return io::AsyncOp(state);
 }
 
-sim::Task<io::AsyncOp> PpfsFile::write_async(std::uint64_t bytes) {
+sim::Task<io::AsyncOp> PpfsFile::do_write_async(std::uint64_t bytes) {
   require_open("write_async");
   if (mode_ == io::AccessMode::kRecord) {
     throw std::logic_error("async I/O is not defined for M_RECORD handles");

@@ -5,7 +5,7 @@
 #include "analysis/tables.hpp"
 #include "apps/synthetic.hpp"
 #include "hw/machine.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "pfs/pfs.hpp"
 #include "ppfs/ppfs.hpp"
 #include "sim/engine.hpp"
@@ -18,7 +18,7 @@ pablo::Trace capture_workload() {
   sim::Engine engine;
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
   pfs::Pfs pfs(machine);
-  pablo::InstrumentedFs fs(pfs, engine);
+  io::CaptureFs fs(pfs, engine);
   pablo::Trace trace;
   fs.add_sink(trace);
   SyntheticConfig cfg;
@@ -52,7 +52,7 @@ std::pair<ReplayStats, pablo::Trace> replay_on(const pablo::Trace& original,
   sim::Engine engine;
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
   Fs target(machine);
-  pablo::InstrumentedFs fs(target, engine);
+  io::CaptureFs fs(target, engine);
   pablo::Trace replay_trace;
   fs.add_sink(replay_trace);
   Replay replay(machine, fs, original, scale_think);

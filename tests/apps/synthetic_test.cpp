@@ -5,7 +5,7 @@
 #include "analysis/pattern.hpp"
 #include "analysis/tables.hpp"
 #include "hw/machine.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/engine.hpp"
 
@@ -33,7 +33,7 @@ struct Fixture {
   sim::Engine engine;
   hw::Machine machine;
   pfs::Pfs pfs;
-  pablo::InstrumentedFs fs;
+  io::CaptureFs fs;
   pablo::Trace trace;
 };
 

@@ -18,7 +18,7 @@
 #include "ckpt/log.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "sim/deadlock.hpp"
 #include "sim/engine.hpp"
 #include "testkit/gen.hpp"
@@ -393,10 +393,10 @@ std::optional<std::string> run_ckpt_case(const testkit::CkptCase& c,
   ckpt::WriteAbsorber absorber(fs);
   ckpt::CheckpointCoordinator coordinator(machine, c.base.workload.nodes,
                                           c.spec, &absorber, nullptr);
-  pablo::InstrumentedFs instrumented(fs, engine);
+  io::CaptureFs captured(fs, engine);
   pablo::Trace trace;
-  instrumented.add_sink(trace);
-  apps::Synthetic app(machine, instrumented, c.base.workload);
+  captured.add_sink(trace);
+  apps::Synthetic app(machine, captured, c.base.workload);
   app.set_checkpoint(&coordinator);
 
   auto drive = [&]() -> sim::Task<> {

@@ -11,7 +11,7 @@ TEST(Umbrella, PublicApiReachable) {
   paraio::hw::Machine machine(
       engine, paraio::hw::MachineConfig::paragon_xps(2, 1));
   paraio::pfs::Pfs pfs(machine);
-  paraio::pablo::InstrumentedFs fs(pfs, engine);
+  paraio::io::CaptureFs fs(pfs, engine);
   paraio::pablo::Trace trace;
   fs.add_sink(trace);
   EXPECT_EQ(machine.compute_nodes(), 2u);

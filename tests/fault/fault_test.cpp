@@ -20,7 +20,7 @@
 #include "hw/machine.hpp"
 #include "hw/raid.hpp"
 #include "obs/metrics.hpp"
-#include "pablo/instrument.hpp"
+#include "io/file.hpp"
 #include "ppfs/ppfs.hpp"
 #include "sim/deadlock.hpp"
 #include "sim/engine.hpp"
@@ -354,10 +354,10 @@ std::optional<std::string> run_fault_case(const testkit::FaultCase& c) {
   fault::FaultInjector injector(engine, machine, c.plan);
   ppfs::Ppfs fs(machine, c.base.filesystem.ppfs_params);
   fs.set_observer(&checker);
-  pablo::InstrumentedFs instrumented(fs, engine);
+  io::CaptureFs captured(fs, engine);
   pablo::Trace trace;
-  instrumented.add_sink(trace);
-  apps::Synthetic app(machine, instrumented, c.base.workload);
+  captured.add_sink(trace);
+  apps::Synthetic app(machine, captured, c.base.workload);
 
   auto drive = [&]() -> sim::Task<> {
     co_await app.stage(fs);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,6 +60,30 @@ TEST(LintFixtures, UnorderedIterSeededCounts) {
   const Tally t = tally(findings, "unordered-iter");
   EXPECT_EQ(t.active, 2);
   EXPECT_EQ(t.suppressed, 1);
+}
+
+TEST(LintFixtures, UnknownSuppressionSeededCounts) {
+  const auto findings = lint_fixture("unknown_suppression.cc");
+  const Tally unknown = tally(findings, "unknown-suppression");
+  EXPECT_EQ(unknown.active, 3);
+  EXPECT_EQ(unknown.suppressed, 0);
+  // The catalog id next to the misspelled one still suppresses.
+  const Tally clock = tally(findings, "wall-clock");
+  EXPECT_EQ(clock.active, 0);
+  EXPECT_EQ(clock.suppressed, 1);
+  std::vector<std::pair<std::size_t, std::string>> where;
+  for (const Finding& f : findings) {
+    if (std::string(f.check) != "unknown-suppression") continue;
+    EXPECT_NE(f.file.find("unknown_suppression.cc"), std::string::npos);
+    where.emplace_back(f.line, f.message);
+  }
+  ASSERT_EQ(where.size(), 3u);
+  EXPECT_EQ(where[0].first, 8u);
+  EXPECT_NE(where[0].second.find("'discarded-task'"), std::string::npos);
+  EXPECT_EQ(where[1].first, 9u);
+  EXPECT_NE(where[1].second.find("'wall-clok'"), std::string::npos);
+  EXPECT_EQ(where[2].first, 11u);
+  EXPECT_NE(where[2].second.find("'lock-ordr'"), std::string::npos);
 }
 
 TEST(LintFixtures, WallClockSeededCounts) {
@@ -560,7 +585,7 @@ TEST(LintStrip, CommentsAndStringsBecomeSpaces) {
 
 TEST(LintCatalog, EveryCheckHasIdSummaryAndDetail) {
   const auto& catalog = paraio::lint::checks();
-  EXPECT_EQ(catalog.size(), 12u);
+  EXPECT_EQ(catalog.size(), 13u);
   for (const auto& check : catalog) {
     EXPECT_NE(std::string(check.id), "");
     EXPECT_NE(std::string(check.summary), "");

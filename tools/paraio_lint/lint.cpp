@@ -129,6 +129,14 @@ constexpr CheckInfo kChecks[] = {
      "co_returns) completes synchronously and does not yield.  Only "
      "unbounded-shaped loops (while (true), for (;;), bare-flag "
      "conditions) are flagged; bounded compute loops are fine."},
+    {"unknown-suppression", Severity::kError,
+     "allow() names an id that is not in the check catalog: it suppresses "
+     "nothing",
+     "A suppression naming a retired or misspelled check id matches no "
+     "finding, so it silently does nothing while still reading as a "
+     "deliberate exception; stale ones pile up unseen when checks are "
+     "retired.  Delete the id, or correct it to a catalog id "
+     "(--list-checks)."},
 };
 
 // Token helpers (is_ident, line_of, skip_balanced, find_word, ...) live in
@@ -137,8 +145,11 @@ constexpr CheckInfo kChecks[] = {
 // ---------------------------------------------------------------------------
 // Per-line suppressions: `// paraio-lint: allow(id[,id...])`
 
+/// The allow() ids on each line.  An id-shaped token the catalog does not
+/// know becomes an `unknown-suppression` finding in `unknown`.
 std::vector<std::set<std::string>> parse_suppressions(
-    const std::string& raw, const std::vector<std::size_t>& starts) {
+    const std::string& raw, const std::vector<std::size_t>& starts,
+    std::vector<Finding>* unknown) {
   std::vector<std::set<std::string>> per_line(starts.size() + 2);
   std::size_t pos = 0;
   while ((pos = raw.find("paraio-lint:", pos)) != std::string::npos) {
@@ -157,6 +168,22 @@ std::vector<std::set<std::string>> parse_suppressions(
       if (comma == std::string::npos) comma = ids.size();
       const std::string id = trim(ids.substr(from, comma - from));
       if (!id.empty() && line < per_line.size()) per_line[line].insert(id);
+      // Only id-shaped tokens are held to the catalog, so prose that
+      // spells the syntax (`allow(id, ...)`) is not a suppression.
+      const bool id_like =
+          !id.empty() && std::all_of(id.begin(), id.end(), [](char c) {
+            return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                   c == '-';
+          });
+      if (id_like && find_check(id) == nullptr) {
+        const std::size_t at = raw.find(id, open + 6 + from);
+        const CheckInfo* info = find_check("unknown-suppression");
+        unknown->push_back(Finding{"", line, col_of(starts, at), info->id,
+                                   info->severity,
+                                   "allow() names unknown check id '" + id +
+                                       "'",
+                                   false});
+      }
       from = comma + 1;
     }
   }
@@ -1000,7 +1027,9 @@ std::vector<Finding> lint_file(const SourceFile& file,
                                LintRunStats* stats) {
   const std::string stripped = strip_comments_and_strings(file.content);
   const std::vector<std::size_t> starts = line_starts(file.content);
-  const auto suppressions = parse_suppressions(file.content, starts);
+  std::vector<Finding> findings;
+  const auto suppressions =
+      parse_suppressions(file.content, starts, &findings);
 
   std::vector<std::string> stripped_lines;
   {
@@ -1014,7 +1043,6 @@ std::vector<Finding> lint_file(const SourceFile& file,
     }
   }
 
-  std::vector<Finding> findings;
   check_unordered_iter(stripped, starts, index.unordered_names, &findings);
   check_wall_clock(stripped, starts, &findings);
   check_raw_random(stripped, starts, &findings);
