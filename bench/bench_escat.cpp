@@ -13,22 +13,10 @@ int main(int argc, char** argv) {
 
   std::cout << "=== ESCAT (electron scattering) on simulated Paragon XP/S, "
                "128 nodes ===\n";
-  obs::Registry registry;
-  core::ExperimentConfig cfg = core::escat_experiment();
-  cfg.hooks.metrics = &registry;
-  const bench::WallTimer timer;
-  const core::ExperimentResult r = core::run_experiment(cfg);
-  const double wall_ms = timer.elapsed_ms();
+  const core::ExperimentResult r =
+      core::run_experiment(core::escat_experiment());
   const double duration = r.run_end - r.run_start;
   std::cout << "run time: " << duration << " s (paper: ~6,000 s)\n\n";
-  bench::write_json(opt, {.name = "bench_escat",
-                          .params = {{"app", "escat"},
-                                     {"nodes", "128"},
-                                     {"ions", "16"},
-                                     {"fs", "pfs"}},
-                          .sim_time = duration,
-                          .wall_ms = wall_ms,
-                          .metrics = &registry});
 
   analysis::OperationTable t1(r.trace);
   std::cout << analysis::to_text(

@@ -1,10 +1,10 @@
 // Graceful degradation under hardware faults (docs/FAULTS.md,
 // docs/CHECKPOINT.md).
 //
-// Part 1 runs each paper application on a PPFS mount at a reduced scale
-// under three scenarios — fault-free, degraded RAID (one drive of ION 0's
-// array fails mid-run), and ION failover (ION 1 crashes mid-run and never
-// returns) — and reports how the run time and the recovery machinery
+// Part 1 runs each paper application on a PPFS mount under three
+// scenarios — fault-free, degraded RAID (one drive of ION 0's array fails
+// mid-run), and ION failover (ION 1 crashes mid-run and never returns) —
+// and reports how the run time and the recovery machinery
 // respond: degraded accesses, retries, failovers, and dirty data lost.
 //
 // Part 2 measures the checkpoint subsystem: the ESCAT skeleton checkpoints
@@ -21,12 +21,15 @@
 //
 // --json emits the schema-1 scenario format that tools/check_bench.py
 // regression-gates on events_per_sec (best run after a warm-up, see
-// run_scenario); the per-scenario "params" objects carry the
-// fault/checkpoint measurements.
+// bench::time_scenario); the per-scenario "params" objects carry the
+// fault/checkpoint measurements.  The bench exits 1 when a recovery path
+// it exists to time was not exercised: no degraded access on a degraded
+// row, no retry or failover on a failover row, no committed epoch on a
+// checkpoint row, or no absorber-acknowledged byte on an absorber row.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -38,49 +41,59 @@ namespace {
 
 using namespace paraio;
 
-core::ExperimentConfig small_config(core::AppConfig app) {
+// Sizes give 60-210 k kernel events per run, at least ~10 ms each in a
+// Release build at about 5 M events/s: sub-millisecond runs left the 20%
+// gate unable to tell a regression from scheduler noise.
+
+/// A PPFS mount (the fault-aware one) on a machine with four I/O nodes.
+core::ExperimentConfig ppfs_config(core::AppConfig app,
+                                   std::uint32_t compute_nodes) {
   core::ExperimentConfig cfg;
-  const bool render = std::holds_alternative<apps::RenderConfig>(app);
-  cfg.machine = hw::MachineConfig::paragon_xps(render ? 9 : 8, 4);
-  cfg.filesystem = core::FsChoice::ppfs();  // the fault-aware mount
+  cfg.machine = hw::MachineConfig::paragon_xps(compute_nodes, 4);
+  cfg.filesystem = core::FsChoice::ppfs();
   cfg.app = std::move(app);
   return cfg;
 }
 
-core::AppConfig make_app(const std::string& name) {
-  if (name == "escat") {
-    apps::EscatConfig c;
-    c.nodes = 8;
-    c.iterations = 6;
-    c.seek_free_iterations = 2;
-    c.first_cycle_compute = 5.0;
-    c.last_cycle_compute = 2.0;
-    c.energy_phase_compute = 3.0;
-    return c;
-  }
+apps::EscatConfig escat_app(std::uint32_t nodes, std::uint32_t iterations) {
+  apps::EscatConfig c;
+  c.nodes = nodes;
+  c.iterations = iterations;
+  c.seek_free_iterations = 2;
+  c.first_cycle_compute = 5.0;
+  c.last_cycle_compute = 2.0;
+  c.energy_phase_compute = 3.0;
+  return c;
+}
+
+core::ExperimentConfig fault_config(const std::string& name) {
+  if (name == "escat") return ppfs_config(escat_app(64, 240), 64);
   if (name == "render") {
     apps::RenderConfig c;
-    c.renderers = 8;
-    c.frames = 5;
+    c.renderers = 64;
+    c.frames = 400;
     c.large_reads_3mb = 8;
     c.large_reads_15mb = 16;
     c.header_reads = 4;
     c.frame_compute = 0.5;
-    return c;
+    return ppfs_config(c, c.renderers + 1);  // + the gateway node
   }
   apps::HtfConfig c;
-  c.nodes = 8;
-  c.integral_writes_total = 40;
-  c.scf_iterations = 2;
+  c.nodes = 64;
+  c.integral_writes_total = 2000;
+  c.scf_iterations = 6;
   c.scf_extra_large_reads = 3;
   c.integral_compute_per_record = 1.0;
   c.scf_compute_per_iteration = 5.0;
   c.setup_compute = 2.0;
-  return c;
+  return ppfs_config(c, c.nodes);
 }
 
+// The checkpoint rows scale ESCAT by iterations only: at 8 nodes per 4 I/O
+// nodes the absorber's log drains between epochs, which is the regime the
+// absorber-vs-write-behind comparison is about.
 core::ExperimentConfig checkpointed_escat(ckpt::CkptBackend backend) {
-  core::ExperimentConfig cfg = small_config(make_app("escat"));
+  core::ExperimentConfig cfg = ppfs_config(escat_app(8, 1000), 8);
   cfg.checkpoint.enabled = true;
   cfg.checkpoint.every = 2;
   cfg.checkpoint.state_bytes = 256 * 1024;
@@ -89,44 +102,37 @@ core::ExperimentConfig checkpointed_escat(ckpt::CkptBackend backend) {
   return cfg;
 }
 
-/// Each run takes well under a millisecond, so a single timed run measures
-/// warm-up and scheduler noise, not throughput.  Every scenario therefore
-/// gets one untimed warm-up run and is then repeated until at least this
-/// much host time has been measured; the fastest run is reported.
-constexpr double kMinMeasuredMs = 50.0;
+/// Measured host time per scenario (bench::time_scenario): at 10-50 ms a
+/// run, enough for two or more repetitions to take the best of.
+constexpr double kMinMeasuredMs = 100.0;
 
-/// Measures one experiment as a gated throughput scenario (events = kernel
-/// events; wall_ms = the best run, as in bench_micro_sim).  The simulator is
-/// deterministic, so every repetition returns the warm-up run's result.
+/// Times one experiment as a gated throughput scenario (events = kernel
+/// events) and hands back its result.  The simulator is deterministic, so
+/// every repetition returns the same result.
 bench::ScenarioRecord run_scenario(const std::string& name,
                                    const core::ExperimentConfig& cfg,
-                                   core::ExperimentResult* out) {
-  core::ExperimentResult result = core::run_experiment(cfg);  // warm-up
-  double best_ms = 0.0;
-  double measured_ms = 0.0;
-  do {
-    const bench::WallTimer timer;
-    (void)core::run_experiment(cfg);
-    const double ms = timer.elapsed_ms();
-    measured_ms += ms;
-    if (best_ms == 0.0 || ms < best_ms) best_ms = ms;
-  } while (measured_ms < kMinMeasuredMs);
-  bench::ScenarioRecord rec;
-  rec.name = name;
-  rec.events = static_cast<double>(result.kernel_events);
-  rec.wall_ms = best_ms;
-  rec.events_per_sec =
-      rec.wall_ms > 0.0 ? rec.events / (rec.wall_ms / 1000.0) : 0.0;
-  rec.sim_time = result.run_end - result.run_start;
-  if (out != nullptr) *out = std::move(result);
-  return rec;
+                                   core::ExperimentResult& out) {
+  return bench::time_scenario(
+      name,
+      [&] {
+        out = core::run_experiment(cfg);
+        return bench::Work{static_cast<double>(out.kernel_events),
+                           out.run_end - out.run_start};
+      },
+      kMinMeasuredMs);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_args(argc, argv);
+  const bench::Options opt =
+      bench::parse_args(argc, argv, bench::Kind::kTimed);
   std::vector<bench::ScenarioRecord> scenarios;
+  std::vector<std::string> unexercised;
+  const auto require = [&unexercised](bool exercised, const std::string& row,
+                                       const char* what) {
+    if (!exercised) unexercised.push_back(row + ": " + what);
+  };
 
   std::cout << "=== Fault injection: fault-free vs degraded RAID-3 vs ION "
                "failover (PPFS mounts) ===\n\n";
@@ -139,10 +145,10 @@ int main(int argc, char** argv) {
       "dirty_bytes_lost\n";
 
   for (const char* app : {"escat", "render", "htf"}) {
-    const core::ExperimentConfig base = small_config(make_app(app));
+    const core::ExperimentConfig base = fault_config(app);
     core::ExperimentResult clean;
     bench::ScenarioRecord clean_rec =
-        run_scenario(std::string(app) + "/fault-free", base, &clean);
+        run_scenario(std::string(app) + "/fault-free", base, clean);
     const double mid = (clean.run_start + clean.run_end) / 2.0;
 
     core::ExperimentConfig degraded = base;
@@ -159,9 +165,9 @@ int main(int argc, char** argv) {
     core::ExperimentResult degraded_result;
     core::ExperimentResult failover_result;
     bench::ScenarioRecord degraded_rec = run_scenario(
-        std::string(app) + "/degraded", degraded, &degraded_result);
+        std::string(app) + "/degraded", degraded, degraded_result);
     bench::ScenarioRecord failover_rec = run_scenario(
-        std::string(app) + "/failover", failover, &failover_result);
+        std::string(app) + "/failover", failover, failover_result);
     const double clean_s = clean.run_end - clean.run_start;
 
     Scenario runs[] = {
@@ -171,6 +177,14 @@ int main(int argc, char** argv) {
     for (Scenario& s : runs) {
       const double run_s = s.result.run_end - s.result.run_start;
       const double slowdown = run_s / clean_s;
+      const std::string row = std::string(app) + "/" + s.name;
+      if (std::string(s.name) == "degraded") {
+        require(s.result.raid_faults.degraded_accesses > 0, row,
+                "no degraded access");
+      } else if (std::string(s.name) == "failover") {
+        require(s.result.recovery.retries > 0, row, "no retry");
+        require(s.result.recovery.failovers > 0, row, "no failover");
+      }
       std::printf("  %-6s %-10s | %9.1f %7.3fx | %9llu %8llu %9llu %10llu\n",
                   app, s.name, run_s, slowdown,
                   static_cast<unsigned long long>(
@@ -222,7 +236,7 @@ int main(int argc, char** argv) {
     const core::ExperimentConfig base = checkpointed_escat(variant.kind);
     core::ExperimentResult clean;
     bench::ScenarioRecord clean_rec = run_scenario(
-        std::string(variant.backend) + "/fault-free", base, &clean);
+        std::string(variant.backend) + "/fault-free", base, clean);
     const double mid = (clean.run_start + clean.run_end) / 2.0;
 
     core::ExperimentConfig crash = base;
@@ -231,7 +245,7 @@ int main(int argc, char** argv) {
         {clean.run_end, fault::FaultKind::kIonRestart, 1, 0, 0.0});
     core::ExperimentResult crashed;
     bench::ScenarioRecord crash_rec = run_scenario(
-        std::string(variant.backend) + "/ion-crash", crash, &crashed);
+        std::string(variant.backend) + "/ion-crash", crash, crashed);
 
     struct Scenario {
       const char* name;
@@ -244,6 +258,12 @@ int main(int argc, char** argv) {
     for (Scenario& s : runs) {
       const double run_s = s.result.run_end - s.result.run_start;
       const ckpt::CheckpointStats& cs = s.result.checkpoint;
+      const std::string row = std::string(variant.backend) + "/" + s.name;
+      require(cs.epochs_committed > 0, row, "no committed epoch");
+      if (variant.kind == ckpt::CkptBackend::kAbsorber) {
+        require(s.result.absorber.acked_bytes > 0, row,
+                "no absorber-acknowledged byte");
+      }
       // Checkpoint-to-useful-work overhead: simulated seconds spent inside
       // checkpoint epochs per second of everything else the run did.
       const double overhead =
@@ -293,5 +313,8 @@ int main(int argc, char** argv) {
 
   bench::write_csv(opt, "faults.csv", csv);
   bench::write_scenarios_json(opt, "bench_faults", scenarios);
-  return 0;
+  for (const std::string& miss : unexercised) {
+    std::cerr << "error: recovery path not exercised: " << miss << "\n";
+  }
+  return unexercised.empty() ? 0 : 1;
 }

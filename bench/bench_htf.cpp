@@ -13,20 +13,8 @@ int main(int argc, char** argv) {
 
   std::cout << "=== HTF (Hartree-Fock) on simulated Paragon XP/S, 128 nodes, "
                "16 atoms ===\n";
-  obs::Registry registry;
-  core::ExperimentConfig cfg = core::htf_experiment();
-  cfg.hooks.metrics = &registry;
-  const bench::WallTimer timer;
-  const core::ExperimentResult r = core::run_experiment(cfg);
-  const double wall_ms = timer.elapsed_ms();
-  bench::write_json(opt, {.name = "bench_htf",
-                          .params = {{"app", "htf"},
-                                     {"nodes", "128"},
-                                     {"ions", "16"},
-                                     {"fs", "pfs"}},
-                          .sim_time = r.run_end - r.run_start,
-                          .wall_ms = wall_ms,
-                          .metrics = &registry});
+  const core::ExperimentResult r =
+      core::run_experiment(core::htf_experiment());
   const double setup_end = r.phases.end_of("psetup");
   const double pargos_end = r.phases.end_of("pargos");
   const double scf_end = r.phases.end_of("pscf");

@@ -1,8 +1,14 @@
-// Microbenchmarks of the simulation kernel hot path: event queue churn,
-// same-instant bursts, cancellation, coroutine timer chains, process fan-out,
-// and the synchronization primitives.  These bound how large a simulated
-// machine the toolkit can handle per wall-clock second, so their events/sec
-// numbers are the repo's tracked performance trajectory:
+// Self-timed microbenchmarks of the simulator's substrate.  Kernel
+// scenarios (event queue churn, same-instant bursts, cancellation, coroutine
+// timer chains, process fan-out, the synchronization primitives) bound how
+// large a simulated machine the toolkit can handle per wall-clock second.
+// Pablo scenarios time the host cost per traced operation of full trace
+// capture against each real-time reduction and all sinks together, plus the
+// SDDF round trip — the paper's §3.1 claim that "instrumentation overhead is
+// modest ... and is largely independent of the choice of real-time data
+// reduction or trace output".  Structure scenarios time striping arithmetic,
+// the PPFS bookkeeping structures and the PRNG.  Scenarios with no
+// simulation clock count items processed as their events.
 //
 //   $ bench_micro_sim --json build/bench_micro_sim.json
 //   $ tools/check_bench.py BENCH_micro_sim.json build/bench_micro_sim.json
@@ -10,17 +16,23 @@
 // The committed baseline lives in BENCH_micro_sim.json; docs/PERF.md
 // describes the recording/refresh workflow and the CI regression gate.
 // Scenarios run with NO observers attached — they measure the fast path.
-// (Data-structure micros that don't involve the kernel live in
-// bench_micro_structs.)
+#include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "pablo/sddf.hpp"
+#include "pablo/summary.hpp"
+#include "pablo/trace.hpp"
+#include "pfs/stripe.hpp"
+#include "ppfs/cache.hpp"
+#include "ppfs/extent.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -28,9 +40,9 @@ namespace {
 
 using namespace paraio;
 
-/// One scenario repetition: returns (kernel events processed, simulated
-/// seconds covered).
-using ScenarioFn = std::pair<double, double> (*)();
+/// One scenario repetition: kernel events (or items) processed and
+/// simulated seconds covered.
+using ScenarioFn = bench::Work (*)();
 
 struct Scenario {
   const char* name;
@@ -40,7 +52,7 @@ struct Scenario {
 // --- event-queue scenarios (no engine, raw schedule/pop) -------------------
 
 template <int N>
-std::pair<double, double> queue_churn() {
+bench::Work queue_churn() {
   sim::EventQueue q;
   for (int i = 0; i < N; ++i) {
     q.schedule(static_cast<double>((i * 7919) % 104729), [] {});
@@ -56,7 +68,7 @@ std::pair<double, double> queue_churn() {
 
 // Interleaved schedule/pop around a rolling time horizon: the steady-state
 // shape of a running simulation (queue stays small, events keep arriving).
-std::pair<double, double> queue_rolling_horizon() {
+bench::Work queue_rolling_horizon() {
   constexpr int kEvents = 100000;
   constexpr int kWindow = 64;
   sim::EventQueue q;
@@ -79,7 +91,7 @@ std::pair<double, double> queue_rolling_horizon() {
 
 // Every event at the same instant: the tie-break path (barriers, collective
 // wake-ups) and the dense bucket the golden stress config guards.
-std::pair<double, double> queue_same_instant() {
+bench::Work queue_same_instant() {
   constexpr int kEvents = 20000;
   sim::EventQueue q;
   for (int i = 0; i < kEvents; ++i) q.schedule(5.0, [] {});
@@ -87,7 +99,7 @@ std::pair<double, double> queue_same_instant() {
   return {static_cast<double>(kEvents), 5.0};
 }
 
-std::pair<double, double> queue_cancel_half() {
+bench::Work queue_cancel_half() {
   constexpr int kEvents = 20000;
   sim::EventQueue q;
   std::vector<sim::EventId> ids;
@@ -102,7 +114,7 @@ std::pair<double, double> queue_cancel_half() {
 
 // --- engine scenarios (coroutines, sync primitives) ------------------------
 
-std::pair<double, double> timer_chain() {
+bench::Work timer_chain() {
   constexpr int kSteps = 100000;
   sim::Engine e;
   auto proc = [](sim::Engine& eng, int steps) -> sim::Task<> {
@@ -113,7 +125,7 @@ std::pair<double, double> timer_chain() {
   return {static_cast<double>(e.events_executed()), e.now()};
 }
 
-std::pair<double, double> many_processes() {
+bench::Work many_processes() {
   constexpr int kProcs = 4096;
   sim::Engine e;
   auto proc = [](sim::Engine& eng) -> sim::Task<> {
@@ -124,7 +136,7 @@ std::pair<double, double> many_processes() {
   return {static_cast<double>(e.events_executed()), e.now()};
 }
 
-std::pair<double, double> channel_pingpong() {
+bench::Work channel_pingpong() {
   constexpr int kMsgs = 10000;
   sim::Engine e;
   sim::Channel<int> ch(e, 8);
@@ -140,7 +152,7 @@ std::pair<double, double> channel_pingpong() {
   return {static_cast<double>(e.events_executed()), e.now()};
 }
 
-std::pair<double, double> semaphore_contention() {
+bench::Work semaphore_contention() {
   constexpr int kTasks = 64;
   sim::Engine e;
   sim::Semaphore sem(e, 1);
@@ -158,7 +170,7 @@ std::pair<double, double> semaphore_contention() {
 
 // Spawn-heavy fork/join shape: short-lived coroutines created in waves, the
 // allocation-rate stress for coroutine frames.
-std::pair<double, double> spawn_waves() {
+bench::Work spawn_waves() {
   // maybe_unused: only read inside the capture-less driver coroutine (a
   // constant expression, not an odr-use), which GCC's
   // -Wunused-but-set-variable fails to see as a use.
@@ -182,6 +194,144 @@ std::pair<double, double> spawn_waves() {
   return {static_cast<double>(e.events_executed()), e.now()};
 }
 
+// --- Pablo scenarios (host cost per traced operation) ---------------------
+
+/// Keeps the optimizer from discarding a result the scenario only computes.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+constexpr int kItems = 100000;
+
+pablo::IoEvent sample_event(sim::Rng& rng) {
+  pablo::IoEvent e;
+  e.timestamp = rng.uniform(0, 10000);
+  e.duration = rng.uniform(0, 0.5);
+  e.node = static_cast<io::NodeId>(rng.uniform_int(0, 127));
+  e.file = static_cast<io::FileId>(rng.uniform_int(1, 16));
+  e.op = static_cast<pablo::Op>(rng.uniform_int(0, 4));
+  e.offset = rng.uniform_int(0, 1u << 30);
+  e.requested = rng.uniform_int(64, 1 << 20);
+  e.transferred = e.requested;
+  return e;
+}
+
+bench::Work trace_capture() {
+  sim::Rng rng(1);
+  const pablo::IoEvent e = sample_event(rng);
+  pablo::Trace trace;
+  for (int i = 0; i < kItems; ++i) trace.on_event(e);
+  keep(trace.size());
+  return {static_cast<double>(kItems), 0.0};
+}
+
+/// Feeds kItems sampled events to one sink (a real-time reduction).
+template <typename Sink>
+bench::Work reduce(Sink&& sink, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  for (int i = 0; i < kItems; ++i) sink.on_event(sample_event(rng));
+  return {static_cast<double>(kItems), 0.0};
+}
+
+bench::Work lifetime_reduction() {
+  return reduce(pablo::FileLifetimeSummary(), 2);
+}
+
+bench::Work time_window_reduction() {
+  return reduce(pablo::TimeWindowSummary(10.0), 3);
+}
+
+bench::Work file_region_reduction() {
+  return reduce(pablo::FileRegionSummary(1 << 20), 4);
+}
+
+bench::Work all_sinks_together() {
+  sim::Rng rng(5);
+  pablo::Trace trace;
+  pablo::FileLifetimeSummary lifetime;
+  pablo::TimeWindowSummary window(10.0);
+  pablo::FileRegionSummary region(1 << 20);
+  for (int i = 0; i < kItems; ++i) {
+    const pablo::IoEvent e = sample_event(rng);
+    trace.on_event(e);
+    lifetime.on_event(e);
+    window.on_event(e);
+    region.on_event(e);
+  }
+  keep(trace.size());
+  return {static_cast<double>(kItems), 0.0};
+}
+
+bench::Work sddf_write_read() {
+  constexpr int kEvents = 10000;
+  static const pablo::Trace trace = [] {
+    sim::Rng rng(6);
+    pablo::Trace t;
+    t.on_file(1, "/bench/file");
+    for (int i = 0; i < kEvents; ++i) t.on_event(sample_event(rng));
+    return t;
+  }();
+  std::stringstream buffer;
+  pablo::write_trace(buffer, trace);
+  const pablo::Trace loaded = pablo::read_trace(buffer);
+  keep(loaded.size());
+  return {static_cast<double>(kEvents), 0.0};
+}
+
+// --- data-structure scenarios (no simulation clock) -------------------------
+
+bench::Work stripe_decompose() {
+  pfs::StripeParams params;
+  params.unit = 64 * 1024;
+  params.io_nodes = 16;
+  const pfs::StripeMap map(params);
+  sim::Rng rng(1);
+  for (int i = 0; i < kItems; ++i) {
+    const auto segs = map.decompose(rng.uniform_int(0, 1u << 30),
+                                    3 * 1024 * 1024);
+    keep(segs.data());
+  }
+  return {static_cast<double>(kItems), 0.0};
+}
+
+// 1 000 sequential 2 KB inserts into a fresh set, 100 sets per repetition.
+bench::Work extent_inserts() {
+  constexpr int kSets = 100;
+  constexpr int kInserts = 1000;
+  for (int s = 0; s < kSets; ++s) {
+    ppfs::ExtentSet set;
+    for (int i = 0; i < kInserts; ++i) {
+      set.insert(static_cast<std::uint64_t>(i) * 2048, 2048);
+    }
+    keep(set.total_bytes());
+  }
+  return {static_cast<double>(kSets * kInserts), 0.0};
+}
+
+// Half-hit lookups in a full 1 024-block cache.
+bench::Work block_cache_lookups() {
+  static ppfs::BlockCache cache = [] {
+    ppfs::BlockCache c(1024);
+    for (std::uint64_t b = 0; b < 1024; ++b) c.insert({1, b});
+    return c;
+  }();
+  sim::Rng rng(7);
+  for (int i = 0; i < kItems; ++i) {
+    keep(cache.lookup({1, rng.uniform_int(0, 2047)}));
+  }
+  return {static_cast<double>(kItems), 0.0};
+}
+
+bench::Work rng_next_u64() {
+  constexpr int kDraws = 1000000;
+  sim::Rng rng(42);
+  std::uint64_t fold = 0;
+  for (int i = 0; i < kDraws; ++i) fold ^= rng.next_u64();
+  keep(fold);
+  return {static_cast<double>(kDraws), 0.0};
+}
+
 constexpr Scenario kScenarios[] = {
     {"queue_churn_1k", &queue_churn<1000>},
     {"queue_churn_100k", &queue_churn<100000>},
@@ -193,56 +343,36 @@ constexpr Scenario kScenarios[] = {
     {"channel_pingpong_10k", &channel_pingpong},
     {"semaphore_contention_64x16", &semaphore_contention},
     {"spawn_waves_200x256", &spawn_waves},
+    {"pablo_trace_capture_100k", &trace_capture},
+    {"pablo_lifetime_reduction_100k", &lifetime_reduction},
+    {"pablo_time_window_reduction_100k", &time_window_reduction},
+    {"pablo_file_region_reduction_100k", &file_region_reduction},
+    {"pablo_all_sinks_100k", &all_sinks_together},
+    {"sddf_write_read_10k", &sddf_write_read},
+    {"stripe_decompose_100k", &stripe_decompose},
+    {"extent_insert_1k_x100", &extent_inserts},
+    {"block_cache_lookup_100k", &block_cache_lookups},
+    {"rng_next_u64_1m", &rng_next_u64},
 };
-
-/// Runs `s` repeatedly until at least `min_wall_ms` of host time has been
-/// measured (with one untimed warm-up rep) and reports the FASTEST rep.
-/// Best-of, not average-of: the simulator is deterministic, so every rep
-/// does identical work and the fastest one is the measurement least
-/// disturbed by scheduler preemption or a noisy co-tenant — the same
-/// reasoning as minimum-time benchmarking.  Throughput on a shared host
-/// only ever loses time to interference; it never gains any.
-bench::ScenarioRecord measure(const Scenario& s, double min_wall_ms) {
-  (void)s.run();  // warm-up: page in code, grow pools to steady state
-  double best_ms = 0.0;
-  double events = 0.0;
-  double sim_time = 0.0;
-  const bench::WallTimer total;
-  do {
-    const bench::WallTimer rep;
-    const auto [ev, st] = s.run();
-    const double ms = rep.elapsed_ms();
-    if (best_ms == 0.0 || ms < best_ms) {
-      best_ms = ms;
-      events = ev;
-      sim_time = st;
-    }
-  } while (total.elapsed_ms() < min_wall_ms);
-  bench::ScenarioRecord rec;
-  rec.name = s.name;
-  rec.events = events;
-  rec.wall_ms = best_ms;
-  rec.events_per_sec = events / (best_ms / 1000.0);
-  rec.sim_time = sim_time;
-  return rec;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_args(argc, argv);
-  // Keep one full run cheap (~3 s) while giving each scenario enough wall
+  const bench::Options opt =
+      bench::parse_args(argc, argv, bench::Kind::kTimed);
+  // Keep one full run cheap (~5 s) while giving each scenario enough wall
   // time that events/sec is stable to a few percent on an idle host.
   const double min_wall_ms = 250.0;
 
-  std::printf("=== simulation-kernel microbenchmarks (no observers) ===\n");
-  std::printf("%-28s %14s %10s %16s\n", "scenario", "events", "wall_ms",
+  std::printf("=== substrate microbenchmarks (no observers) ===\n");
+  std::printf("%-34s %14s %10s %16s\n", "scenario", "events", "wall_ms",
               "events/sec");
   std::vector<bench::ScenarioRecord> records;
   std::string csv = "scenario,events,wall_ms,events_per_sec\n";
   for (const Scenario& s : kScenarios) {
-    const bench::ScenarioRecord rec = measure(s, min_wall_ms);
-    std::printf("%-28s %14.0f %10.1f %16.0f\n", rec.name.c_str(), rec.events,
+    const bench::ScenarioRecord rec =
+        bench::time_scenario(s.name, s.run, min_wall_ms);
+    std::printf("%-34s %14.0f %10.3f %16.0f\n", rec.name.c_str(), rec.events,
                 rec.wall_ms, rec.events_per_sec);
     csv += rec.name + "," + std::to_string(rec.events) + "," +
            std::to_string(rec.wall_ms) + "," +

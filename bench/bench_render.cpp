@@ -13,24 +13,12 @@ int main(int argc, char** argv) {
 
   std::cout << "=== RENDER (terrain rendering) on simulated Paragon XP/S, "
                "gateway + 128 renderers, 100 frames ===\n";
-  obs::Registry registry;
-  core::ExperimentConfig cfg = core::render_experiment();
-  cfg.hooks.metrics = &registry;
-  const bench::WallTimer timer;
-  const core::ExperimentResult r = core::run_experiment(cfg);
-  const double wall_ms = timer.elapsed_ms();
+  const core::ExperimentResult r =
+      core::run_experiment(core::render_experiment());
   const double duration = r.run_end - r.run_start;
   const double init = r.phases.end_of("initialization") - r.run_start;
   std::cout << "run time: " << duration << " s, initialization " << init
             << " s (paper: ~470 s total, init ends ~210 s)\n\n";
-  bench::write_json(opt, {.name = "bench_render",
-                          .params = {{"app", "render"},
-                                     {"nodes", "129"},
-                                     {"ions", "16"},
-                                     {"fs", "pfs"}},
-                          .sim_time = duration,
-                          .wall_ms = wall_ms,
-                          .metrics = &registry});
 
   analysis::OperationTable t3(r.trace);
   std::cout << analysis::to_text(

@@ -21,7 +21,9 @@
 #               JSON (paraio_stat revalidates it before writing and exits
 #               nonzero otherwise); any lint finding in src/obs fails, even
 #               warnings.
-#   5. perf   — a Release build of the self-harnessed kernel microbench
+#   5. perf   — fails first if any BENCH_*.json at the repo root is not
+#               passed to tools/check_bench.py below.  Then a Release build
+#               of the self-timed substrate microbench
 #               (bench_micro_sim --json, three invocations), regression-
 #               gated by tools/check_bench.py against the committed
 #               BENCH_micro_sim.json snapshot: any scenario whose BEST run
@@ -144,8 +146,18 @@ grep -q '"traceEvents"' "${obs_out}/escat_trace.json"
 if [[ "${1:-}" != "--fast" ]]; then
   # --- perf stage ----------------------------------------------------------
   # Release build (no sanitizers, no asserts) so the numbers are comparable
-  # to the committed snapshot; only the one bench target is built.
-  echo "== perf: kernel microbench vs BENCH_micro_sim.json =="
+  # to the committed snapshots; only the two bench targets are built.
+  # Every committed snapshot must be gated below: a BENCH_*.json at the repo
+  # root that no check_bench.py line of this script reads fails the stage.
+  echo "== perf: every BENCH_*.json is gated =="
+  for snapshot in BENCH_*.json; do
+    if ! grep -Eq "^ *python3 tools/check_bench\.py ${snapshot} " ci.sh; then
+      echo "error: ${snapshot} is not gated by tools/check_bench.py in ci.sh" >&2
+      exit 1
+    fi
+  done
+
+  echo "== perf: substrate microbench vs BENCH_micro_sim.json =="
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF
   cmake --build build-perf -j "${jobs}" --target bench_micro_sim
   # Three separate invocations; the gate scores each scenario on the best
